@@ -24,7 +24,6 @@ from .evaluator import (
     EvalCounts,
     MetricReport,
     Outcome,
-    Token,
     aggregate,
     compute_metrics,
     count_neomorphemes,
@@ -35,7 +34,6 @@ from .evaluator import (
 )
 from .paradigm import (
     AdaptedEntry,
-    AdaptedTriplet,
     TagsetDefinition,
     TagsetMapping,
     adapt_corpus,
@@ -47,7 +45,6 @@ from .paradigm import (
 from .promptkit import (
     ChatMessage,
     Exemplar,
-    ExtractionResult,
     PromptFormat,
     PromptSpec,
     build_prompt,

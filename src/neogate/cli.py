@@ -20,6 +20,7 @@ from .corpus import (
     cohen_kappa,
     corpus_stats,
     load_corpus,
+    serialize_annotation,
     validate_corpus,
 )
 from .errors import NeoGateError
@@ -37,7 +38,6 @@ from .paradigm import (
     load_builtin_mapping,
     load_builtin_tagset,
     parse_mapping,
-    serialize_adapted_annotation,
 )
 from .promptkit import (
     Exemplar,
@@ -57,16 +57,6 @@ REPORT_TXT = "report.txt"
 REPORT_KV = "report.kv"
 TRACE_TSV = "trace.tsv"
 MANIFEST_KV = "manifest.kv"
-
-# Config-file keys are coerced with the same types as their flags.
-_CONFIG_COERCERS = {
-    "shots": int,
-    "temperature": float,
-    "timeout": float,
-    "retries": int,
-    "rate_limit": float,
-    "concurrency": int,
-}
 
 
 @dataclass(frozen=True)
@@ -251,7 +241,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
                     entry.ref_masc,
                     entry.ref_fem,
                     a.ref_adapted,
-                    serialize_adapted_annotation(a.triplets),
+                    serialize_annotation(a.triplets),
                 )
             )
         )
@@ -339,8 +329,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
         record = records.get(entry.entry_id)
         if record is None:
             raise NeoGateError(f"no cached record for entry {entry.entry_id}")
-        result = extract_translation(record.raw, fmt)
-        lines.append((result.translation or "").replace("\n", " ") if result.ok else "")
+        translation = extract_translation(record.raw, fmt)
+        lines.append((translation or "").replace("\n", " "))
     text = "\n".join(lines) + "\n"
     if args.out_file:
         Path(args.out_file).write_text(text, encoding="utf-8")
@@ -505,16 +495,26 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
             path = arg.partition("=")[2]
     if not path:
         return
-    values = parse_kv(Path(path).read_text(encoding="utf-8"))
-    coerced = {}
-    for key, value in values.items():
-        dest = key.replace("-", "_")
-        coerced[dest] = _CONFIG_COERCERS.get(dest, str)(value)
-    # subparsers parse into a fresh namespace, so defaults set on the main
-    # parser alone would not reach them
-    parser.set_defaults(**coerced)
+    values = {
+        key.replace("-", "_"): value
+        for key, value in parse_kv(Path(path).read_text(encoding="utf-8")).items()
+    }
+    # a key may belong to any subcommand, so one file serves run and evaluate
+    flags = {
+        action.dest
+        for sub in parser.sub_commands.values()
+        for action in sub._actions
+        if action.option_strings and action.default is not argparse.SUPPRESS
+    }
+    unknown = sorted(values.keys() - flags)
+    if unknown:
+        print(f"usage error: unknown config key {', '.join(unknown)}", file=sys.stderr)
+        raise SystemExit(2)
+    # argparse runs each flag's type on a string default, so a bad value
+    # is a usage error; subparsers parse into a fresh namespace, so the
+    # defaults must be set on each of them
     for sub in parser.sub_commands.values():
-        sub.set_defaults(**coerced)
+        sub.set_defaults(**values)
 
 
 def dispatch(argv: list[str] | None = None) -> int:

@@ -59,7 +59,11 @@ class Anchor:
 
 @dataclass(frozen=True)
 class Triplet:
-    """The (masculine, feminine, tagged) forms annotated for one word."""
+    """The masculine, feminine and third form annotated for one word.
+
+    The third form follows its reference: tagged (``direttor<ENDS>``) in a
+    parsed corpus, realized (``direttor*``) after paradigm adaptation.
+    """
 
     masc_form: str
     fem_form: str
@@ -240,7 +244,7 @@ def _reference_words(text: str) -> set[str]:
     """Case-folded token set of a reference, tokenized like hypotheses are."""
     from .evaluator import tokenize
 
-    return {t.surface.casefold() for t in tokenize(text)}
+    return {t.casefold() for t in tokenize(text)}
 
 
 def validate_corpus(corpus: list[Entry]) -> list[ValidationIssue]:

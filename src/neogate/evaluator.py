@@ -18,8 +18,9 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .corpus import Triplet
 from .errors import NeoGateError
-from .paradigm import AdaptedEntry, AdaptedTriplet
+from .paradigm import AdaptedEntry
 
 
 class NoAnnotations(NeoGateError):
@@ -31,12 +32,6 @@ class Outcome(str, Enum):
     MATCHED_MASC = "matched_masc"
     MATCHED_FEM = "matched_fem"
     MATCHED_NEO = "matched_neo"
-
-
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    position: int
 
 
 @dataclass(frozen=True)
@@ -87,7 +82,7 @@ class MetricReport:
 _APOSTROPHE_SPLIT = re.compile(r"(?<=')")
 
 
-def tokenize(text: str, markers: Iterable[str] = ()) -> list[Token]:
+def tokenize(text: str, markers: Iterable[str] = ()) -> list[str]:
     """Split a hypothesis into word tokens.
 
     Whitespace-delimited words are further split after apostrophes, with
@@ -102,7 +97,7 @@ def tokenize(text: str, markers: Iterable[str] = ()) -> list[Token]:
     def keep(ch: str) -> bool:
         return ch.isalpha() or ch.isdigit() or ch == "'" or ch in marker_set
 
-    tokens: list[Token] = []
+    tokens: list[str] = []
     for word in text.replace("’", "'").split():
         for piece in _APOSTROPHE_SPLIT.split(word):
             start, end = 0, len(piece)
@@ -112,19 +107,19 @@ def tokenize(text: str, markers: Iterable[str] = ()) -> list[Token]:
                 end -= 1
             surface = piece[start:end]
             if any(ch.isalpha() or ch.isdigit() or ch in marker_set for ch in surface):
-                tokens.append(Token(surface, len(tokens)))
+                tokens.append(surface)
     return tokens
 
 
-def count_neomorphemes(tokens: Sequence[Token], markers: Iterable[str]) -> int:
+def count_neomorphemes(tokens: Sequence[str], markers: Iterable[str]) -> int:
     """Number of tokens containing at least one marker character."""
     marker_set = frozenset(markers)
-    return sum(1 for t in tokens if any(m in t.surface for m in marker_set))
+    return sum(1 for t in tokens if any(m in t for m in marker_set))
 
 
 def match_entry(
-    tokens: Sequence[Token],
-    adapted_triplets: Sequence[AdaptedTriplet],
+    tokens: Sequence[str],
+    adapted_triplets: Sequence[Triplet],
     markers: Iterable[str],
     entry_id: str = "",
     unparseable: bool = False,
@@ -149,13 +144,13 @@ def match_entry(
             triplet_classes=tuple((t.kind, t.number) for t in adapted_triplets),
             unparseable=True,
         )
-    surfaces = [t.surface.casefold() for t in tokens]
+    surfaces = [t.casefold() for t in tokens]
     consumed: set[int] = set()
     outcomes: list[Outcome] = []
     matched = correct = 0
     for triplet in adapted_triplets:
         forms = (
-            (triplet.neo_form.casefold(), Outcome.MATCHED_NEO),
+            (triplet.tagged_form.casefold(), Outcome.MATCHED_NEO),
             (triplet.masc_form.casefold(), Outcome.MATCHED_MASC),
             (triplet.fem_form.casefold(), Outcome.MATCHED_FEM),
         )

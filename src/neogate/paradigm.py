@@ -11,8 +11,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from .errors import NeoGateError
+
+if TYPE_CHECKING:
+    from .corpus import Triplet
 
 SINGULAR = "singular"
 PLURAL = "plural"
@@ -113,24 +117,12 @@ class TagsetMapping:
 
 
 @dataclass(frozen=True)
-class AdaptedTriplet:
-    """A triplet with its tagged form realized in a concrete paradigm."""
-
-    masc_form: str
-    fem_form: str
-    neo_form: str
-    kind: str
-    number: str
-    anchor: "Anchor | None"
-
-
-@dataclass(frozen=True)
 class AdaptedEntry:
     """A corpus entry with reference and triplets adapted to a paradigm."""
 
     entry_id: str
     ref_adapted: str
-    triplets: tuple[AdaptedTriplet, ...]
+    triplets: tuple[Triplet, ...]
 
 
 def load_builtin_tagset() -> TagsetDefinition:
@@ -250,21 +242,22 @@ def adapt_reference(ref_tagged: str, mapping: TagsetMapping) -> str:
     return adapted
 
 
-def adapt_triplets(triplets, mapping: TagsetMapping) -> tuple[AdaptedTriplet, ...]:
-    """Rewrite each triplet's tagged form into its paradigm form."""
-    adapted = []
-    for t in triplets:
-        adapted.append(
-            AdaptedTriplet(
-                masc_form=t.masc_form,
-                fem_form=t.fem_form,
-                neo_form=replace_tags(t.tagged_form, mapping),
-                kind=t.kind,
-                number=t.number,
-                anchor=t.anchor,
-            )
+def adapt_triplets(triplets, mapping: TagsetMapping) -> tuple[Triplet, ...]:
+    """Copy each triplet with its tagged form realized in the paradigm."""
+    from .corpus import Triplet  # corpus imports this module
+
+    return tuple(
+        Triplet(
+            t.masc_form,
+            t.fem_form,
+            replace_tags(t.tagged_form, mapping),
+            t.tag,
+            t.kind,
+            t.number,
+            t.anchor,
         )
-    return tuple(adapted)
+        for t in triplets
+    )
 
 
 def adapt_entry(entry, mapping: TagsetMapping) -> AdaptedEntry:
@@ -281,14 +274,3 @@ def adapt_entry(entry, mapping: TagsetMapping) -> AdaptedEntry:
 def adapt_corpus(corpus, mapping: TagsetMapping) -> list[AdaptedEntry]:
     """Adapt every entry of a parsed corpus to ``mapping``."""
     return [adapt_entry(entry, mapping) for entry in corpus]
-
-
-def serialize_adapted_annotation(triplets: tuple[AdaptedTriplet, ...]) -> str:
-    """Render adapted triplets back into the annotation-column format."""
-    parts = []
-    for t in triplets:
-        fields = [t.masc_form, t.fem_form, t.neo_form]
-        if t.anchor is not None:
-            fields.append(f"{t.anchor.text}={t.anchor.distance}")
-        parts.append(" ".join(fields))
-    return "; ".join(parts) + ";" if parts else ""

@@ -41,6 +41,7 @@ _STAGE_LABELS = {
 }
 
 _SPAN_RE = re.compile(r"<([^<>]*)>", re.DOTALL)
+_NEO_LABEL_RE = re.compile(re.escape(LABEL_NEOMORPHEME), re.IGNORECASE)
 
 
 class SpecMismatch(NeoGateError):
@@ -84,17 +85,6 @@ class PromptSpec:
             raise SpecMismatch(
                 f"{len(self.exemplar_ids)} exemplar ids for {self.n_shots} shots"
             )
-
-
-@dataclass(frozen=True)
-class ExtractionResult:
-    outcome: str  # "ok" | "unparseable"
-    translation: str | None
-    raw: str
-
-    @property
-    def ok(self) -> bool:
-        return self.outcome == "ok"
 
 
 def instruction_sentence(mapping: TagsetMapping) -> str:
@@ -197,28 +187,27 @@ def rank_exemplar_candidates(dev_corpus: list[Entry]) -> list[str]:
     return [e.entry_id for e in sorted(dev_corpus, key=key)]
 
 
-def extract_translation(raw: str, spec: PromptSpec | PromptFormat) -> ExtractionResult:
+def extract_translation(raw: str, spec: PromptSpec | PromptFormat) -> str | None:
     """Recover the translation from a raw completion.
 
     Binary/ternary completions are searched for the first bracketed span
-    after the neomorpheme stage label; other formats take the first span.
-    If that fails, the last bracketed span anywhere is used; with no span
-    at all the output is unparseable.
+    after the neomorpheme stage label (matched case-insensitively); other
+    formats take the first span. If that fails, the last bracketed span
+    anywhere is used; with no span at all the output is unparseable and
+    the result is None.
     """
     fmt = spec if isinstance(spec, PromptFormat) else spec.format
     match = None
     if fmt in (PromptFormat.BINARY, PromptFormat.TERNARY):
-        label_at = raw.casefold().find(LABEL_NEOMORPHEME.casefold())
-        if label_at >= 0:
-            match = _SPAN_RE.search(raw, label_at + len(LABEL_NEOMORPHEME))
+        label = _NEO_LABEL_RE.search(raw)
+        if label is not None:
+            match = _SPAN_RE.search(raw, label.end())
     else:
         match = _SPAN_RE.search(raw)
     if match is None:
         spans = _SPAN_RE.findall(raw)
-        if spans:
-            return ExtractionResult("ok", spans[-1].strip(), raw)
-        return ExtractionResult("unparseable", None, raw)
-    return ExtractionResult("ok", match.group(1).strip(), raw)
+        return spans[-1].strip() if spans else None
+    return match.group(1).strip()
 
 
 def render_prompt_dump(entry_id: str, messages: list[ChatMessage]) -> str:

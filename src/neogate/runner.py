@@ -106,8 +106,12 @@ class JsonlCache:
 
     def _load(self) -> None:
         offset = 0
+        torn = False
         with open(self.path, "rb") as fh:
             for raw_line in fh:
+                if not raw_line.endswith(b"\n"):
+                    torn = True  # a crash cut the last append short
+                    break
                 line = raw_line.decode("utf-8", errors="replace").strip()
                 if line:
                     try:
@@ -118,6 +122,12 @@ class JsonlCache:
                         ) from exc
                     self._index[record.prompt_hash] = record
                 offset += len(raw_line)
+        if torn:
+            # cut the fragment off, or the next put would join it
+            logger.warning(
+                "%s: dropping torn last record at byte offset %d", self.path, offset
+            )
+            os.truncate(self.path, offset)
 
     def get(self, key: str) -> RunRecord | None:
         with self._lock:
@@ -252,13 +262,13 @@ def run_corpus(
                 requested_at=requested_at,
                 completed_at=_utcnow(),
             )
-        extraction = extract_translation(raw, spec)
+        translation = extract_translation(raw, spec)
         record = RunRecord(
             entry_id=entry.entry_id,
             prompt_hash=hashes[i],
             raw=raw,
-            outcome=extraction.outcome,
-            translation=extraction.translation,
+            outcome="unparseable" if translation is None else "ok",
+            translation=translation,
             model=config.model,
             requested_at=requested_at,
             completed_at=_utcnow(),

@@ -29,7 +29,8 @@ from neogate import (
 )
 from neogate.cli import render_trace
 from neogate.evaluator import EvalCounts, round_half_up
-from neogate.paradigm import adapt_triplets, serialize_adapted_annotation
+from neogate.corpus import serialize_annotation
+from neogate.paradigm import adapt_triplets
 from neogate.promptkit import Exemplar, PromptFormat, PromptSpec
 from neogate.runner import ClientConfig, export_hypotheses, run_corpus
 
@@ -79,7 +80,7 @@ def test_criterion_02_golden_adaptation(tagset, asterisk, schwa):
             "L* direttor* del dipartimento ha detto che potrebbero assumere "
             "nuov* professor*"
         )
-        assert serialize_adapted_annotation(adapted_star.triplets) == (
+        assert serialize_annotation(adapted_star.triplets) == (
             "il la l*; direttore direttrice direttor*; nuovi nuove nuov*; "
             "professori professoresse professor*;"
         )
@@ -88,7 +89,7 @@ def test_criterion_02_golden_adaptation(tagset, asterisk, schwa):
             "Lə direttorə del dipartimento ha detto che potrebbero assumere "
             "nuovɜ professorɜ"
         )
-        assert serialize_adapted_annotation(adapted_schwa.triplets) == (
+        assert serialize_annotation(adapted_schwa.triplets) == (
             "il la lə; direttore direttrice direttorə; nuovi nuove nuovɜ; "
             "professori professoresse professorɜ;"
         )
@@ -228,17 +229,11 @@ def test_criterion_08_extraction_properties():
             text = "".join(
                 rng.choice(alphabet) for _ in range(rng.randint(1, 60))
             ).strip()
-            result = extract_translation(f"<{text}>", PromptFormat.DIRECT)
-            assert result.ok and result.translation == text
-        assert (
-            extract_translation("nothing to see here", PromptFormat.DIRECT).outcome
-            == "unparseable"
-        )
+            assert extract_translation(f"<{text}>", PromptFormat.DIRECT) == text
+        assert extract_translation("nothing to see here", PromptFormat.DIRECT) is None
         raw = "<I maschile.>\n[Italian, neomorpheme] <L* version*.>"
-        result = extract_translation(raw, PromptFormat.BINARY)
-        assert result.translation == "L* version*."
-        result = extract_translation(raw, PromptFormat.TERNARY)
-        assert result.translation == "L* version*."
+        assert extract_translation(raw, PromptFormat.BINARY) == "L* version*."
+        assert extract_translation(raw, PromptFormat.TERNARY) == "L* version*."
 
 
 def test_criterion_09_marker_bijection(tagset, asterisk, schwa, test_split):

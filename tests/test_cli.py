@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -15,7 +16,16 @@ from neogate.cli import (
 from neogate.evaluator import EvalCounts, MetricReport
 from neogate.runner import RunRecord
 
-from .conftest import EXAMPLE_CORPUS_TEXT, split_path
+from .conftest import DATA_DIR, EXAMPLE_CORPUS_TEXT, split_path
+
+# SHA-256 of `neogate adapt` on the bundled test split, and of the report.kv
+# and trace.tsv of `neogate evaluate` scoring those adapted references
+GOLDEN_ADAPT = {
+    "asterisk": "8b454ee09640ca2c001411c6e70357c5cc257112c7b13e5ad0f10f8aefeb8de6",
+    "schwa": "8ee7503774b583c24d4d16891b0dcc1f926fda71d775e609a211463577b05084",
+}
+GOLDEN_SELF_REPORT_KV = "b9c7205ee1f9a36e9ffbb05c82e7135e821b49f4acc1c2af958954192dac0272"
+GOLDEN_SELF_TRACE_TSV = "2420c841d31694347082395e830ffb9ca4d0ac73de966b195f54ea79b69f7236"
 
 
 @pytest.fixture
@@ -256,3 +266,47 @@ def test_run_and_config_precedence(corpus_file, tmp_path, echo_server, capsys):
     cache_lines = (out_dir / "cache.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(cache_lines) == 1
     assert json.loads(cache_lines[0])["model"] == "flag-model"
+
+
+def test_config_bad_value_is_usage_error(corpus_file, tmp_path, capsys):
+    config = tmp_path / "bad.conf"
+    config.write_text("retries=abc\n", encoding="utf-8")
+    assert dispatch(["--config", str(config), "run", "--corpus", str(corpus_file)]) == 2
+    assert "--retries" in capsys.readouterr().err
+
+
+def test_config_unknown_key_is_usage_error(corpus_file, tmp_path, capsys):
+    config = tmp_path / "typo.conf"
+    config.write_text("modle=x\n", encoding="utf-8")
+    assert dispatch(["--config", str(config), "stats", "--corpus", str(corpus_file)]) == 2
+    assert "usage error: unknown config key modle" in capsys.readouterr().err
+
+
+def test_config_keys_of_other_subcommands_allowed(corpus_file, tmp_path, capsys):
+    config = tmp_path / "shared.conf"
+    config.write_text("endpoint=http://x\nconcurrency=4\nhyp=h.txt\n", encoding="utf-8")
+    assert dispatch(["--config", str(config), "stats", "--corpus", str(corpus_file)]) == 0
+
+
+@pytest.mark.parametrize("paradigm", sorted(GOLDEN_ADAPT))
+def test_full_split_golden_digests(paradigm, tmp_path, capsys):
+    corpus = str(DATA_DIR / "synthetic-test.tsv")
+    adapted = tmp_path / "adapted.tsv"
+    assert dispatch(
+        ["adapt", "--corpus", corpus, "--paradigm", paradigm, "--out-file", str(adapted)]
+    ) == 0
+    rows = adapted.read_text(encoding="utf-8").splitlines()[1:]
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("".join(row.split("\t")[4] + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "report"
+    assert dispatch(
+        ["evaluate", "--corpus", corpus, "--paradigm", paradigm, "--hyp", str(hyp),
+         "--out", str(out)]
+    ) == 0
+
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert digest(adapted) == GOLDEN_ADAPT[paradigm]
+    assert digest(out / "report.kv") == GOLDEN_SELF_REPORT_KV
+    assert digest(out / "trace.tsv") == GOLDEN_SELF_TRACE_TSV

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from neogate import adapt_corpus, adapt_reference, parse_corpus, parse_mapping
+from neogate.corpus import serialize_annotation
 from neogate.paradigm import (
     CONTENT,
     IllegalMarker,
@@ -13,7 +14,6 @@ from neogate.paradigm import (
     TAG_RE,
     UnknownTag,
     adapt_triplets,
-    serialize_adapted_annotation,
 )
 
 from .conftest import EXAMPLE_CORPUS_TEXT, EXAMPLE_REF_TAGGED
@@ -135,10 +135,10 @@ def test_capitalization_never_touches_markers(tagset):
 def test_adapt_corpus_goldens(tagset, asterisk, schwa, example_corpus):
     (adapted_a,) = adapt_corpus(example_corpus, asterisk)
     assert adapted_a.ref_adapted == ADAPTED_REF_ASTERISK
-    assert serialize_adapted_annotation(adapted_a.triplets) == ADAPTED_ANN_ASTERISK
+    assert serialize_annotation(adapted_a.triplets) == ADAPTED_ANN_ASTERISK
     (adapted_s,) = adapt_corpus(example_corpus, schwa)
     assert adapted_s.ref_adapted == ADAPTED_REF_SCHWA
-    assert serialize_adapted_annotation(adapted_s.triplets) == ADAPTED_ANN_SCHWA
+    assert serialize_annotation(adapted_s.triplets) == ADAPTED_ANN_SCHWA
 
 
 def test_adapt_corpus_empty(asterisk):
@@ -150,22 +150,22 @@ def test_adaptation_is_total(test_split, asterisk, schwa):
         for adapted in adapt_corpus(test_split[:100], mapping):
             assert not TAG_RE.search(adapted.ref_adapted)
             for t in adapted.triplets:
-                assert not TAG_RE.search(t.neo_form)
+                assert not TAG_RE.search(t.tagged_form)
 
 
 def test_number_marker_fidelity(test_split, schwa):
     for adapted in adapt_corpus(test_split[:100], schwa):
         for t in adapted.triplets:
             marker = "ə" if t.number == "singular" else "ɜ"
-            assert marker in t.neo_form
+            assert marker in t.tagged_form
 
 
 def test_neo_form_never_equals_gendered_forms(test_split, asterisk, schwa):
     for mapping in (asterisk, schwa):
         for adapted in adapt_corpus(test_split[:200], mapping):
             for t in adapted.triplets:
-                assert t.neo_form != t.masc_form
-                assert t.neo_form != t.fem_form
+                assert t.tagged_form != t.masc_form
+                assert t.tagged_form != t.fem_form
 
 
 def test_marker_bijection_of_adapted_corpora(tagset, asterisk, example_corpus):
@@ -183,7 +183,7 @@ def test_marker_bijection_of_adapted_corpora(tagset, asterisk, example_corpus):
     (adapted_at,) = adapt_corpus(example_corpus, at_mapping)
     assert adapted_star.ref_adapted.replace("*", "@") == adapted_at.ref_adapted
     for a, b in zip(adapted_star.triplets, adapted_at.triplets):
-        assert a.neo_form.replace("*", "@") == b.neo_form
+        assert a.tagged_form.replace("*", "@") == b.tagged_form
 
 
 def test_adapted_anchors_survive(tagset, asterisk):
@@ -191,4 +191,4 @@ def test_adapted_anchors_survive(tagset, asterisk):
     (entry,) = parse_corpus(text, tagset)
     adapted = adapt_triplets(entry.triplets, asterisk)
     assert adapted[0].anchor is not None
-    assert serialize_adapted_annotation(adapted).startswith("il la l* dirett=1;")
+    assert serialize_annotation(adapted).startswith("il la l* dirett=1;")

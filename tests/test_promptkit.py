@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from neogate import (
@@ -198,64 +198,64 @@ def test_exemplars_from_corpus(tagset):
 def test_extract_single_span(asterisk):
     spec = spec_for(PromptFormat.DIRECT, asterisk)
     result = extract_translation("<Non compro mai fiori per l* mi* amic*.>", spec)
-    assert result.ok
-    assert result.translation == "Non compro mai fiori per l* mi* amic*."
+    assert result == "Non compro mai fiori per l* mi* amic*."
 
 
 def test_extract_no_brackets_unparseable(zero_spec):
     result = extract_translation("Sure! Here it is: translation without brackets", zero_spec)
-    assert result.outcome == "unparseable"
-    assert result.translation is None
-    assert result.raw.startswith("Sure!")
+    assert result is None
 
 
 def test_extract_binary_label_scoped(asterisk):
     raw = "<I maschile.>\n[Italian, neomorpheme] <L* version*.>"
     result = extract_translation(raw, spec_for(PromptFormat.BINARY, asterisk))
-    assert result.ok and result.translation == "L* version*."
+    assert result == "L* version*."
 
 
 def test_extract_label_case_insensitive(asterisk):
     raw = "<masc>\n[italian, NEOMORPHEME] <giusto*>"
     result = extract_translation(raw, spec_for(PromptFormat.BINARY, asterisk))
-    assert result.translation == "giusto*"
+    assert result == "giusto*"
+
+
+@given(st.text(alphabet=st.characters(blacklist_characters="<>"), max_size=40))
+@example("ßßßß")  # casefolding lengthens the text before the label
+def test_extract_label_after_any_prefix(prefix):
+    raw = f"{prefix} [Italian, neomorpheme] <a> <b>"
+    assert extract_translation(raw, PromptFormat.BINARY) == "a"
 
 
 def test_extract_falls_back_to_last_span(asterisk):
     raw = "<primo.> poi <secondo.> niente etichetta"
     result = extract_translation(raw, spec_for(PromptFormat.TERNARY, asterisk))
-    assert result.translation == "secondo."
+    assert result == "secondo."
     # label present but no span after it: also last span
     raw2 = "<primo.> [Italian, neomorpheme] senza parentesi"
     result2 = extract_translation(raw2, spec_for(PromptFormat.TERNARY, asterisk))
-    assert result2.translation == "primo."
+    assert result2 == "primo."
 
 
 def test_extract_multiline_span(zero_spec):
     raw = "ecco:\n<L* maestr*\ncontinua.>"
     result = extract_translation(raw, zero_spec)
-    assert result.translation == "L* maestr*\ncontinua."
+    assert result == "L* maestr*\ncontinua."
 
 
 def test_extract_accepts_bare_format():
     result = extract_translation("<ciao>", PromptFormat.DIRECT)
-    assert result.translation == "ciao"
+    assert result == "ciao"
 
 
 @given(st.text(alphabet=st.characters(blacklist_characters="<>"), max_size=80))
 def test_wrap_then_extract_round_trip(text):
     stripped = text.strip()
-    result = extract_translation(f"<{stripped}>", PromptFormat.DIRECT)
-    assert result.ok
-    assert result.translation == stripped
+    assert extract_translation(f"<{stripped}>", PromptFormat.DIRECT) == stripped
 
 
 @given(st.text(max_size=200), st.sampled_from(list(PromptFormat)))
 def test_extract_total_on_arbitrary_output(raw, fmt):
     result = extract_translation(raw, fmt)
-    assert result.outcome in ("ok", "unparseable")
-    assert (result.translation is not None) == result.ok
-    assert result.raw == raw
+    assert result is None or isinstance(result, str)
 
 
 def test_render_prompt_dump(zero_spec):

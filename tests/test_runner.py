@@ -91,6 +91,23 @@ def test_cache_corruption_reports_offset(tmp_path):
         JsonlCache(path)
 
 
+def test_torn_last_line_is_truncated_and_run_resumes(
+    echo_server, small_corpus, zero_spec, tmp_path
+):
+    config = ClientConfig(endpoint=echo_server.url, model="echo")
+    cache_path = tmp_path / "c.jsonl"
+    run_corpus(small_corpus[:2], zero_spec, config, cache_path)
+    whole = cache_path.read_bytes()
+    torn = make_record(key="torn").to_json().encode()
+    cache_path.write_bytes(whole + torn[: len(torn) // 2])
+    records = run_corpus(small_corpus, zero_spec, config, cache_path)
+    assert echo_server.calls == 3
+    assert [r.outcome for r in records] == ["ok", "ok", "ok"]
+    reloaded = JsonlCache(cache_path)
+    assert {r.prompt_hash for r in reloaded.records()} == {r.prompt_hash for r in records}
+    assert cache_path.read_bytes().startswith(whole)
+
+
 def test_run_corpus_against_echo(echo_server, small_corpus, zero_spec, tmp_path):
     config = ClientConfig(endpoint=echo_server.url, model="echo")
     records = run_corpus(small_corpus, zero_spec, config, tmp_path / "c.jsonl")
