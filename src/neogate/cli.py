@@ -43,6 +43,7 @@ from .promptkit import (
     Exemplar,
     PromptFormat,
     PromptSpec,
+    SpecMismatch,
     build_prompt,
     exemplars_from_corpus,
     extract_translation,
@@ -57,6 +58,10 @@ REPORT_TXT = "report.txt"
 REPORT_KV = "report.kv"
 TRACE_TSV = "trace.tsv"
 MANIFEST_KV = "manifest.kv"
+
+
+class UsageError(Exception):
+    """A flag or config value the command cannot use; exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -170,18 +175,21 @@ def _read_lines(path: str) -> list[str]:
 
 def _build_spec(args: argparse.Namespace, mapping: TagsetMapping) -> tuple[PromptSpec, tuple[Exemplar, ...]]:
     fmt = PromptFormat(args.format)
-    if fmt is PromptFormat.ZERO_SHOT:
-        return PromptSpec(fmt, 0, mapping), ()
-    if not args.dev_corpus:
-        raise NeoGateError("few-shot formats require --dev-corpus for exemplars")
-    dev = load_corpus(args.dev_corpus, load_builtin_tagset())
-    if args.exemplars:
-        ids = tuple(x for x in args.exemplars.split(",") if x)
-    else:
-        ids = tuple(rank_exemplar_candidates(dev)[: args.shots])
+    ids = tuple(x for x in args.exemplars.split(",") if x)
+    dev = None
+    if fmt is not PromptFormat.ZERO_SHOT:
+        if not args.dev_corpus:
+            raise NeoGateError("few-shot formats require --dev-corpus for exemplars")
+        dev = load_corpus(args.dev_corpus, load_builtin_tagset())
+        ids = ids or tuple(rank_exemplar_candidates(dev)[: args.shots])
+    try:
+        spec = PromptSpec(fmt, args.shots, mapping, ids)
+    except SpecMismatch as exc:
+        raise UsageError(f"--format/--shots/--exemplars: {exc}") from exc
+    if dev is None:
+        return spec, ()
     adapted = {a.entry_id: a.ref_adapted for a in adapt_corpus(dev, mapping)}
-    exemplars = exemplars_from_corpus(dev, adapted, ids)
-    return PromptSpec(fmt, args.shots, mapping, ids), exemplars
+    return spec, exemplars_from_corpus(dev, adapted, ids)
 
 
 def _print_issues(issues: list[ValidationIssue], stream) -> None:
@@ -189,19 +197,15 @@ def _print_issues(issues: list[ValidationIssue], stream) -> None:
         print(issue.render(), file=stream)
 
 
-def _missing_flags(args: argparse.Namespace, *names: str) -> int:
-    """Report absent required values (flag or config); 2 if any, else 0."""
+def _require(args: argparse.Namespace, *names: str) -> None:
+    """Reject absent required values (flag or config) as a usage error."""
     missing = [name for name in names if not getattr(args, name.replace("-", "_"))]
     if missing:
-        flags = ", ".join(f"--{name}" for name in missing)
-        print(f"usage error: missing {flags}", file=sys.stderr)
-        return 2
-    return 0
+        raise UsageError(f"missing {', '.join(f'--{name}' for name in missing)}")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if code := _missing_flags(args, "corpus"):
-        return code
+    _require(args, "corpus")
     tagset = load_builtin_tagset()
     try:
         corpus = load_corpus(args.corpus, tagset)
@@ -215,8 +219,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    if code := _missing_flags(args, "corpus"):
-        return code
+    _require(args, "corpus")
     corpus = load_corpus(args.corpus, load_builtin_tagset())
     stats = corpus_stats(corpus)
     for key in ("entries", "tags", "content", "function", "singular", "plural"):
@@ -225,8 +228,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_adapt(args: argparse.Namespace) -> int:
-    if code := _missing_flags(args, "corpus"):
-        return code
+    _require(args, "corpus")
     tagset = load_builtin_tagset()
     corpus = load_corpus(args.corpus, tagset)
     mapping = _load_mapping(args)
@@ -254,8 +256,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
 
 
 def cmd_prompt(args: argparse.Namespace) -> int:
-    if code := _missing_flags(args, "corpus"):
-        return code
+    _require(args, "corpus")
     tagset = load_builtin_tagset()
     corpus = load_corpus(args.corpus, tagset)
     mapping = _load_mapping(args)
@@ -277,8 +278,7 @@ def cmd_prompt(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if code := _missing_flags(args, "corpus", "endpoint", "model", "out"):
-        return code
+    _require(args, "corpus", "endpoint", "model", "out")
     tagset = load_builtin_tagset()
     corpus = load_corpus(args.corpus, tagset)
     mapping = _load_mapping(args)
@@ -317,8 +317,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    if code := _missing_flags(args, "corpus", "cache"):
-        return code
+    _require(args, "corpus", "cache")
     tagset = load_builtin_tagset()
     corpus = load_corpus(args.corpus, tagset)
     cache = JsonlCache(args.cache)
@@ -340,8 +339,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if code := _missing_flags(args, "corpus", "hyp"):
-        return code
+    _require(args, "corpus", "hyp")
     tagset = load_builtin_tagset()
     corpus = load_corpus(args.corpus, tagset)
     mapping = _load_mapping(args)
@@ -380,11 +378,7 @@ def cmd_kappa(args: argparse.Namespace) -> int:
             load_corpus(args.corpus_a, tagset), load_corpus(args.corpus_b, tagset)
         )
     else:
-        print(
-            "usage error: kappa needs --labels-a/--labels-b or --corpus-a/--corpus-b",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError("kappa needs --labels-a/--labels-b or --corpus-a/--corpus-b")
     value = cohen_kappa(labels_a, labels_b)
     print(f"kappa={value:.6f}")
     return 0
@@ -501,15 +495,22 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     }
     # a key may belong to any subcommand, so one file serves run and evaluate
     flags = {
-        action.dest
+        action.dest: action
         for sub in parser.sub_commands.values()
         for action in sub._actions
         if action.option_strings and action.default is not argparse.SUPPRESS
     }
-    unknown = sorted(values.keys() - flags)
+    unknown = sorted(values.keys() - flags.keys())
     if unknown:
-        print(f"usage error: unknown config key {', '.join(unknown)}", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(f"unknown config key {', '.join(unknown)}")
+    # argparse checks choices on command-line values only
+    for key, value in values.items():
+        choices = flags[key].choices
+        if choices is not None and value not in choices:
+            raise UsageError(
+                f"argument {flags[key].option_strings[0]}: invalid choice: {value!r} "
+                f"(choose from {', '.join(choices)})"
+            )
     # argparse runs each flag's type on a string default, so a bad value
     # is a usage error; subparsers parse into a fresh namespace, so the
     # defaults must be set on each of them
@@ -524,14 +525,13 @@ def dispatch(argv: list[str] | None = None) -> int:
     try:
         _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except NeoGateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except (NeoGateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,19 +11,22 @@ unchanged configuration never touches the network.
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
 import logging
 import os
+import ssl
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
-
-import requests
+from urllib.parse import unquote, urlsplit, urlunsplit
+from urllib.request import getproxies, proxy_bypass
 
 from .corpus import Entry
 from .errors import NeoGateError
@@ -169,12 +172,100 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-@dataclass
-class ChatClient:
-    """Minimal chat-completions client with bounded retries."""
+def _split_url(url: str, schemes: tuple[str, ...], what: str):
+    """The parts and port of an absolute URL with one of ``schemes``.
 
-    config: ClientConfig
-    session: requests.Session = field(default_factory=requests.Session)
+    The port is explicit even when the URL has none: from a bare
+    ``"::1"``, ``http.client`` would take port 1.
+    """
+    try:
+        parts = urlsplit(url)
+        port = parts.port or (443 if parts.scheme == "https" else 80)
+    except ValueError:  # a bracket or port that does not parse
+        parts = None
+    if parts is None or parts.scheme not in schemes or not parts.hostname:
+        raise NeoGateError(f"{what} is not an {' or '.join(schemes)} URL: {url!r}")
+    return parts, port
+
+
+class ChatClient:
+    """Minimal chat-completions client with bounded retries.
+
+    Each thread that calls ``complete`` keeps one persistent connection to
+    the endpoint, or to the proxy that ``HTTP(S)_PROXY``/``NO_PROXY`` name
+    for it; the proxy is resolved once, here. Redirects are not followed.
+    """
+
+    def __init__(self, config: ClientConfig):
+        self.config = config
+        url, port = _split_url(config.endpoint, ("http", "https"), "endpoint")
+        https = url.scheme == "https"
+        self._address = (url.hostname, port)
+        self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        self._headers = {"Content-Type": "application/json"}
+        self._tunnel = None
+        proxy = None if proxy_bypass(url.netloc) else getproxies().get(url.scheme)
+        if proxy:
+            if "://" not in proxy:
+                proxy = "http://" + proxy
+            parsed, proxy_port = _split_url(proxy, ("http",), "proxy")
+            proxy_headers = {}
+            if parsed.username:
+                userinfo = f"{unquote(parsed.username)}:{unquote(parsed.password or '')}"
+                proxy_headers["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(userinfo.encode()).decode()
+                )
+            if https:
+                self._tunnel = (*self._address, proxy_headers)
+            else:
+                # a forward proxy takes the absolute URI
+                self._target = urlunsplit(url._replace(fragment=""))
+                self._headers.update(proxy_headers)
+            self._address = (parsed.hostname, proxy_port)
+        self._context = ssl.create_default_context() if https else None
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            host, port = self._address
+            if self._context is None:
+                conn = http.client.HTTPConnection(host, port, timeout=self.config.timeout)
+            else:
+                conn = http.client.HTTPSConnection(
+                    host, port, timeout=self.config.timeout, context=self._context
+                )
+            if self._tunnel:
+                conn.set_tunnel(*self._tunnel)
+            self._local.conn = conn
+            with self._lock:
+                self._connections.append(conn)
+        return conn
+
+    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """POST on this thread's connection (``connect`` sets TCP_NODELAY).
+        When the server has closed a reused keep-alive connection, the
+        request is sent once more on a new one."""
+        conn = self._connection()
+        reused = conn.sock is not None
+        while True:
+            try:
+                conn.request("POST", self._target, body, headers)
+                response = conn.getresponse()
+                return response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()  # the next request opens a new connection
+                if not (reused and isinstance(exc, ConnectionError)):
+                    raise
+                reused = False
+
+    def close(self) -> None:
+        """Close every thread's connection; call when no request is in flight."""
+        with self._lock:
+            for conn in self._connections:
+                conn.close()
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
         body = {
@@ -182,7 +273,8 @@ class ChatClient:
             "messages": [{"role": m.role, "content": m.content} for m in messages],
             "temperature": self.config.temperature,
         }
-        headers = {}
+        payload = json.dumps(body).encode("utf-8")
+        headers = dict(self._headers)
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
@@ -191,26 +283,19 @@ class ChatClient:
             if attempt:
                 time.sleep(min(2.0, 0.1 * 2 ** attempt))
             try:
-                response = self.session.post(
-                    self.config.endpoint,
-                    json=body,
-                    headers=headers,
-                    timeout=self.config.timeout,
-                )
-            except requests.RequestException as exc:
+                status, data = self._post(payload, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 logger.warning("request failed (attempt %d): %s", attempt + 1, exc)
                 continue
-            if response.status_code in (401, 403):
-                raise AuthError(f"endpoint rejected credentials ({response.status_code})")
-            if response.status_code != 200:
-                last_error = NetworkError(f"HTTP {response.status_code}")
-                logger.warning(
-                    "HTTP %d (attempt %d)", response.status_code, attempt + 1
-                )
+            if status in (401, 403):
+                raise AuthError(f"endpoint rejected credentials ({status})")
+            if status != 200:
+                last_error = NetworkError(f"HTTP {status}")
+                logger.warning("HTTP %d (attempt %d)", status, attempt + 1)
                 continue
             try:
-                return response.json()["choices"][0]["message"]["content"]
+                return json.loads(data)["choices"][0]["message"]["content"]
             except (ValueError, LookupError, TypeError) as exc:
                 last_error = exc
                 logger.warning("malformed response body (attempt %d): %s", attempt + 1, exc)
@@ -234,6 +319,7 @@ def run_corpus(
     aborts the whole run.
     """
     cache = JsonlCache(cache_path)
+    owned = client is None
     client = client or ChatClient(config)
     throttle = _Throttle(config.rate_limit)
 
@@ -276,10 +362,14 @@ def run_corpus(
         cache.put(record)
         return record
 
-    if config.concurrency <= 1:
-        return [fetch(i) for i in range(len(corpus))]
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        return list(pool.map(fetch, range(len(corpus))))
+    try:
+        if config.concurrency <= 1:
+            return [fetch(i) for i in range(len(corpus))]
+        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+            return list(pool.map(fetch, range(len(corpus))))
+    finally:
+        if owned:
+            client.close()
 
 
 def export_hypotheses(records: Sequence[RunRecord], corpus_order: Sequence[str]) -> str:

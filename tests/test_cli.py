@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,13 @@ def test_usage_error_exits_2(capsys):
 def test_missing_file_exits_1(capsys):
     assert dispatch(["stats", "--corpus", "/nonexistent/x.tsv"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_missing_config_file_exits_1(tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent.conf")
+    assert dispatch(["--config", missing, "stats", "--corpus", "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nonexistent.conf" in err
 
 
 def test_stats_output(capsys):
@@ -138,6 +149,21 @@ def test_prompt_entry_filter(corpus_file, capsys):
         == 1
     )
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--format", "direct"],
+        ["--shots", "3"],
+        ["--format", "direct", "--exemplars", "a,b", "--shots", "1"],
+    ],
+    ids=["direct-0-shots", "3-shots", "2-exemplars-1-shot"],
+)
+def test_prompt_rejected_spec_flags_are_usage_errors(corpus_file, flags, capsys):
+    argv = ["prompt", "--corpus", str(corpus_file), "--dev-corpus", str(corpus_file)]
+    assert dispatch(argv + flags) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_prompt_few_shot_requires_dev(corpus_file, capsys):
@@ -270,9 +296,10 @@ def test_run_and_config_precedence(corpus_file, tmp_path, echo_server, capsys):
 
 def test_config_bad_value_is_usage_error(corpus_file, tmp_path, capsys):
     config = tmp_path / "bad.conf"
-    config.write_text("retries=abc\n", encoding="utf-8")
-    assert dispatch(["--config", str(config), "run", "--corpus", str(corpus_file)]) == 2
-    assert "--retries" in capsys.readouterr().err
+    for line, flag in (("retries=abc", "--retries"), ("format=bogus", "--format")):
+        config.write_text(line + "\n", encoding="utf-8")
+        assert dispatch(["--config", str(config), "run", "--corpus", str(corpus_file)]) == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_config_unknown_key_is_usage_error(corpus_file, tmp_path, capsys):
@@ -310,3 +337,17 @@ def test_full_split_golden_digests(paradigm, tmp_path, capsys):
     assert digest(adapted) == GOLDEN_ADAPT[paradigm]
     assert digest(out / "report.kv") == GOLDEN_SELF_REPORT_KV
     assert digest(out / "trace.tsv") == GOLDEN_SELF_TRACE_TSV
+
+
+def test_cli_imports_with_the_standard_library_only():
+    src = Path(__file__).resolve().parent.parent / "src"
+    check = "import sys, neogate.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", check],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

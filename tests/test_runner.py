@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import base64
 import json
+import logging
+import socket
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from neogate import parse_corpus, prompt_hash
+from neogate import NeoGateError, parse_corpus, prompt_hash
 from neogate.promptkit import ChatMessage, PromptFormat, PromptSpec
 from neogate.runner import (
     AuthError,
     CacheCorruption,
+    ChatClient,
     ClientConfig,
     JsonlCache,
     MissingEntry,
+    NetworkError,
     RunRecord,
     export_hypotheses,
     run_corpus,
@@ -233,3 +241,150 @@ def test_rate_limit_spaces_requests(echo_server, small_corpus, zero_spec, tmp_pa
     run_corpus(small_corpus, zero_spec, config, tmp_path / "c.jsonl")
     # three requests at 25 req/s cannot finish faster than two intervals
     assert time.monotonic() - started >= 2 / 25
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 keep-alive chat endpoint that answers ``<ok>`` with a
+    ``Content-Length``; with ``server.drop`` it closes each connection after
+    its response without sending ``Connection: close``. As a proxy it
+    refuses every ``CONNECT`` tunnel with 502."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):  # noqa: N802 (http.server API)
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append((self.path, dict(self.headers)))
+        payload = json.dumps({"choices": [{"message": {"content": "<ok>"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+        self.close_connection = self.server.drop
+
+    def do_CONNECT(self):  # noqa: N802 (http.server API)
+        self.server.requests.append((self.path, dict(self.headers)))
+        self.send_error(502)
+
+    def log_message(self, *args):
+        pass
+
+
+class _KeepAliveServer(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+        self.connections = 0
+        self.requests = []
+        self.drop = False
+        self.closed = threading.Semaphore(0)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/chat"
+
+    def verify_request(self, request, client_address):
+        self.connections += 1  # runs in the accepting thread only
+        return True
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+
+@pytest.fixture
+def keepalive_server():
+    server = _KeepAliveServer()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+MESSAGES = [ChatMessage("user", "ciao")]
+
+
+def test_sequential_calls_share_one_connection(keepalive_server, no_proxy_env):
+    client = ChatClient(ClientConfig(endpoint=keepalive_server.url, model="m"))
+    assert [client.complete(MESSAGES) for _ in range(5)] == ["<ok>"] * 5
+    assert keepalive_server.connections == 1
+
+
+def test_concurrent_calls_keep_one_connection_per_worker(keepalive_server, no_proxy_env):
+    client = ChatClient(ClientConfig(endpoint=keepalive_server.url, model="m", concurrency=3))
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        replies = list(pool.map(lambda _: client.complete(MESSAGES), range(30)))
+    assert replies == ["<ok>"] * 30
+    assert len(keepalive_server.requests) == 30
+    assert keepalive_server.connections <= 3
+
+
+def test_server_closed_keepalive_is_not_a_failed_attempt(
+    keepalive_server, no_proxy_env, caplog
+):
+    keepalive_server.drop = True
+    client = ChatClient(ClientConfig(endpoint=keepalive_server.url, model="m", max_retries=0))
+    with caplog.at_level(logging.WARNING, logger="neogate.runner"):
+        for _ in range(3):
+            assert client.complete(MESSAGES) == "<ok>"
+            # the server has closed the connection before the next call
+            assert keepalive_server.closed.acquire(timeout=5)
+    assert caplog.records == []
+    assert keepalive_server.connections == 3
+
+
+def test_http_proxy_gets_absolute_uri(keepalive_server, no_proxy_env):
+    port = keepalive_server.server_address[1]
+    no_proxy_env.setenv("http_proxy", f"http://user:pw@127.0.0.1:{port}")
+    client = ChatClient(ClientConfig(endpoint="http://neogate.invalid/v1/chat", model="m"))
+    assert client.complete(MESSAGES) == "<ok>"
+    [(path, headers)] = keepalive_server.requests
+    assert path == "http://neogate.invalid/v1/chat"
+    assert headers["Host"] == "neogate.invalid"
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+
+
+def test_https_proxy_gets_connect(keepalive_server, no_proxy_env):
+    port = keepalive_server.server_address[1]
+    no_proxy_env.setenv("https_proxy", f"http://user:pw@127.0.0.1:{port}")
+    client = ChatClient(
+        ClientConfig(endpoint="https://neogate.invalid/v1/chat", model="m", max_retries=0)
+    )
+    with pytest.raises(NetworkError):  # the proxy refuses the tunnel
+        client.complete(MESSAGES)
+    [(path, headers)] = keepalive_server.requests
+    assert path == "neogate.invalid:443"
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+
+
+def test_no_proxy_host_goes_direct(keepalive_server, no_proxy_env):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        dead_port = probe.getsockname()[1]
+    no_proxy_env.setenv("http_proxy", f"http://127.0.0.1:{dead_port}")
+    no_proxy_env.setenv("no_proxy", "127.0.0.1")
+    client = ChatClient(ClientConfig(endpoint=keepalive_server.url, model="m", max_retries=0))
+    assert client.complete(MESSAGES) == "<ok>"
+    [(path, _)] = keepalive_server.requests
+    assert path == "/v1/chat"
+
+
+def test_endpoint_and_proxy_must_be_http_urls(no_proxy_env):
+    bad = ("localhost:8000/v1/chat", "ftp://host/v1/chat", "http:///v1", "http://h:x/v1")
+    for endpoint in bad:
+        with pytest.raises(NeoGateError, match="endpoint is not an http"):
+            ChatClient(ClientConfig(endpoint=endpoint, model="m"))
+    no_proxy_env.setenv("http_proxy", "socks5://127.0.0.1:1080")
+    with pytest.raises(NeoGateError, match="proxy is not an http URL"):
+        ChatClient(ClientConfig(endpoint="http://host/v1", model="m"))
