@@ -33,6 +33,7 @@ from .evaluator import (
     evaluate_hypotheses,
 )
 from .paradigm import (
+    TagsetDefinition,
     TagsetMapping,
     adapt_corpus,
     load_builtin_mapping,
@@ -160,8 +161,7 @@ def render_trace(entry_evals: list[EntryEval]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_mapping(args: argparse.Namespace) -> TagsetMapping:
-    tagset = load_builtin_tagset()
+def _load_mapping(args: argparse.Namespace, tagset: TagsetDefinition) -> TagsetMapping:
     if getattr(args, "mapping", None):
         with open(args.mapping, "rb") as fh:
             return parse_mapping(fh.read(), tagset)
@@ -173,14 +173,16 @@ def _read_lines(path: str) -> list[str]:
         return fh.read().splitlines()
 
 
-def _build_spec(args: argparse.Namespace, mapping: TagsetMapping) -> tuple[PromptSpec, tuple[Exemplar, ...]]:
+def _build_spec(
+    args: argparse.Namespace, mapping: TagsetMapping, tagset: TagsetDefinition
+) -> tuple[PromptSpec, tuple[Exemplar, ...]]:
     fmt = PromptFormat(args.format)
     ids = tuple(x for x in args.exemplars.split(",") if x)
     dev = None
     if fmt is not PromptFormat.ZERO_SHOT:
         if not args.dev_corpus:
             raise NeoGateError("few-shot formats require --dev-corpus for exemplars")
-        dev = load_corpus(args.dev_corpus, load_builtin_tagset())
+        dev = load_corpus(args.dev_corpus, tagset)
         ids = ids or tuple(rank_exemplar_candidates(dev)[: args.shots])
     try:
         spec = PromptSpec(fmt, args.shots, mapping, ids)
@@ -231,7 +233,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     _require(args, "corpus")
     tagset = load_builtin_tagset()
     corpus = load_corpus(args.corpus, tagset)
-    mapping = _load_mapping(args)
+    mapping = _load_mapping(args, tagset)
     adapted = adapt_corpus(corpus, mapping)
     lines = ["\t".join(ADAPTED_HEADER)]
     for entry, a in zip(corpus, adapted):
@@ -259,8 +261,8 @@ def cmd_prompt(args: argparse.Namespace) -> int:
     _require(args, "corpus")
     tagset = load_builtin_tagset()
     corpus = load_corpus(args.corpus, tagset)
-    mapping = _load_mapping(args)
-    spec, exemplars = _build_spec(args, mapping)
+    mapping = _load_mapping(args, tagset)
+    spec, exemplars = _build_spec(args, mapping, tagset)
     if args.entry:
         corpus = [e for e in corpus if e.entry_id == args.entry]
         if not corpus:
@@ -281,8 +283,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     _require(args, "corpus", "endpoint", "model", "out")
     tagset = load_builtin_tagset()
     corpus = load_corpus(args.corpus, tagset)
-    mapping = _load_mapping(args)
-    spec, exemplars = _build_spec(args, mapping)
+    mapping = _load_mapping(args, tagset)
+    spec, exemplars = _build_spec(args, mapping, tagset)
     config = ClientConfig(
         endpoint=args.endpoint,
         model=args.model,
@@ -342,7 +344,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _require(args, "corpus", "hyp")
     tagset = load_builtin_tagset()
     corpus = load_corpus(args.corpus, tagset)
-    mapping = _load_mapping(args)
+    mapping = _load_mapping(args, tagset)
     adapted = adapt_corpus(corpus, mapping)
     hypotheses = _read_lines(args.hyp)
     if len(hypotheses) < len(adapted):

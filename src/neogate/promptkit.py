@@ -118,35 +118,48 @@ def _exemplar_assistant(fmt: PromptFormat, ex: Exemplar) -> str:
     )
 
 
-def build_prompt(
-    source: str, spec: PromptSpec, exemplars: tuple[Exemplar, ...] | list[Exemplar] = ()
+def prompt_head(
+    spec: PromptSpec, exemplars: tuple[Exemplar, ...] | list[Exemplar] = ()
 ) -> list[ChatMessage]:
-    """Build the chat-message sequence for one source sentence.
+    """The demonstrations every prompt of ``spec`` opens with.
 
-    The instruction opens the first user message in every format. Each
-    demonstration is a user message carrying the bracketed English source
-    and the first stage label, answered by an assistant message with the
-    bracketed translation(s); the final user message carries the test
-    source and awaits completion after the first stage label.
+    The instruction opens the first user message. Each demonstration is a
+    user message carrying the bracketed English source and the first stage
+    label, answered by an assistant message with the bracketed
+    translation(s). Zero-shot prompts have no head.
     """
     if len(exemplars) != spec.n_shots:
         raise SpecMismatch(
             f"{len(exemplars)} exemplars supplied for {spec.n_shots} shots"
         )
-    instruction = instruction_sentence(spec.paradigm)
     first_label = _STAGE_LABELS[spec.format][0]
     messages: list[ChatMessage] = []
     for i, ex in enumerate(exemplars):
         body = f"{LABEL_ENGLISH} <{ex.source}>\n{first_label}"
         if i == 0:
-            body = f"{instruction}\n{body}"
+            body = f"{instruction_sentence(spec.paradigm)}\n{body}"
         messages.append(ChatMessage("user", body))
         messages.append(ChatMessage("assistant", _exemplar_assistant(spec.format, ex)))
-    final = f"{LABEL_ENGLISH} <{source}>\n{first_label}"
-    if not exemplars:
-        final = f"{instruction}\n{final}"
-    messages.append(ChatMessage("user", final))
     return messages
+
+
+def final_message(source: str, spec: PromptSpec, opening: bool) -> ChatMessage:
+    """The user message that carries the test source and awaits completion
+    after the first stage label; an ``opening`` message, one that no
+    demonstration precedes, also carries the instruction."""
+    body = f"{LABEL_ENGLISH} <{source}>\n{_STAGE_LABELS[spec.format][0]}"
+    if opening:
+        body = f"{instruction_sentence(spec.paradigm)}\n{body}"
+    return ChatMessage("user", body)
+
+
+def build_prompt(
+    source: str, spec: PromptSpec, exemplars: tuple[Exemplar, ...] | list[Exemplar] = ()
+) -> list[ChatMessage]:
+    """The chat-message sequence for one source sentence: the head of
+    ``spec`` and ``exemplars``, then the final message."""
+    head = prompt_head(spec, exemplars)
+    return head + [final_message(source, spec, not head)]
 
 
 def exemplars_from_corpus(

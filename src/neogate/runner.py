@@ -6,31 +6,37 @@ The wire format is a chat-completions-style JSON body (``model``,
 ``messages``, ``temperature``); the reply must carry the completion text
 at ``choices[0].message.content``. Cache entries are keyed by a digest of
 the serialized messages plus model name and temperature, so re-running an
-unchanged configuration never touches the network.
+unchanged configuration never touches the network. A run looks every
+prompt up first; the HTTP client, its thread pool and the stdlib network
+modules are loaded only when some prompt is missing from the cache.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import http.client
 import json
 import logging
 import os
-import ssl
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 from urllib.parse import unquote, urlsplit, urlunsplit
-from urllib.request import getproxies, proxy_bypass
 
 from .corpus import Entry
 from .errors import NeoGateError
-from .promptkit import ChatMessage, Exemplar, PromptSpec, build_prompt, extract_translation
+from .promptkit import (
+    ChatMessage,
+    Exemplar,
+    PromptSpec,
+    extract_translation,
+    final_message,
+    prompt_head,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -83,27 +89,56 @@ class RunRecord:
         return cls(**{k: data[k] for k in cls.__dataclass_fields__})
 
 
+_RECORD_FIELDS = frozenset(RunRecord.__dataclass_fields__)
+
+
+def _message_json(m: ChatMessage) -> str:
+    # json.dumps({"role": ..., "content": ...}, ensure_ascii=False, sort_keys=True)
+    return f'{{"content": {encode_basestring(m.content)}, "role": {encode_basestring(m.role)}}}'
+
+
+def prompt_hasher(
+    head: Sequence[ChatMessage], model: str, temperature: float
+) -> Callable[[Sequence[ChatMessage]], str]:
+    """The ``prompt_hash`` of ``head + rest`` as a function of ``rest``,
+    with ``head`` hashed once; ``rest`` must not be empty unless ``head`` is.
+
+    The digest is the SHA-256 of ``json.dumps({"model": model,
+    "temperature": temperature, "messages": [{"role": ..., "content":
+    ...}, ...]}, ensure_ascii=False, sort_keys=True)``.
+    """
+    opening = hashlib.sha256(
+        "".join(['{"messages": [', *(_message_json(m) + ", " for m in head)]).encode("utf-8")
+    )
+    closing = (
+        f'], "model": {json.dumps(model, ensure_ascii=False)}, '
+        f'"temperature": {json.dumps(temperature)}}}'
+    )
+
+    def digest(rest: Sequence[ChatMessage]) -> str:
+        h = opening.copy()
+        h.update((", ".join(map(_message_json, rest)) + closing).encode("utf-8"))
+        return h.hexdigest()
+
+    return digest
+
+
 def prompt_hash(messages: Sequence[ChatMessage], model: str, temperature: float) -> str:
     """Stable digest of a prompt: message list plus model and temperature."""
-    payload = json.dumps(
-        {
-            "model": model,
-            "temperature": temperature,
-            "messages": [{"role": m.role, "content": m.content} for m in messages],
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return prompt_hasher((), model, temperature)(messages)
 
 
 class JsonlCache:
-    """Append-only JSONL store of run records indexed by prompt hash."""
+    """Append-only JSONL store of run records indexed by prompt hash.
+
+    Every line is checked when the file is loaded; the index keeps the
+    line, and a ``RunRecord`` is built from it only when it is read.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._index: dict[str, RunRecord] = {}
+        self._index: dict[str, str] = {}
         if self.path.exists():
             self._load()
 
@@ -118,12 +153,14 @@ class JsonlCache:
                 line = raw_line.decode("utf-8", errors="replace").strip()
                 if line:
                     try:
-                        record = RunRecord.from_json(json.loads(line))
-                    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                        data = json.loads(line)
+                        if not isinstance(data, dict) or not _RECORD_FIELDS <= data.keys():
+                            raise ValueError("not an object with every run record field")
+                    except ValueError as exc:  # JSONDecodeError included
                         raise CacheCorruption(
                             f"{self.path}: bad record at byte offset {offset}: {exc}"
                         ) from exc
-                    self._index[record.prompt_hash] = record
+                    self._index[data["prompt_hash"]] = line
                 offset += len(raw_line)
         if torn:
             # cut the fragment off, or the next put would join it
@@ -134,18 +171,21 @@ class JsonlCache:
 
     def get(self, key: str) -> RunRecord | None:
         with self._lock:
-            return self._index.get(key)
+            line = self._index.get(key)
+        return None if line is None else RunRecord.from_json(json.loads(line))
 
     def records(self) -> list[RunRecord]:
         with self._lock:
-            return list(self._index.values())
+            lines = list(self._index.values())
+        return [RunRecord.from_json(json.loads(line)) for line in lines]
 
     def put(self, record: RunRecord) -> None:
+        line = record.to_json()
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(record.to_json() + "\n")
-            self._index[record.prompt_hash] = record
+                fh.write(line + "\n")
+            self._index[record.prompt_hash] = line
 
     def __len__(self) -> int:
         return len(self._index)
@@ -197,10 +237,17 @@ class ChatClient:
     """
 
     def __init__(self, config: ClientConfig):
+        # loaded by the first client, not with the module: a run whose
+        # prompts are all cached never needs them
+        import base64
+        import http.client
+        import ssl
+        from urllib.request import getproxies, proxy_bypass
+
         self.config = config
         url, port = _split_url(config.endpoint, ("http", "https"), "endpoint")
         https = url.scheme == "https"
-        self._address = (url.hostname, port)
+        address = (url.hostname, port)
         self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
         self._headers = {"Content-Type": "application/json"}
         self._tunnel = None
@@ -216,13 +263,24 @@ class ChatClient:
                     "Basic " + base64.b64encode(userinfo.encode()).decode()
                 )
             if https:
-                self._tunnel = (*self._address, proxy_headers)
+                self._tunnel = (*address, proxy_headers)
             else:
                 # a forward proxy takes the absolute URI
                 self._target = urlunsplit(url._replace(fragment=""))
                 self._headers.update(proxy_headers)
-            self._address = (parsed.hostname, proxy_port)
-        self._context = ssl.create_default_context() if https else None
+            address = (parsed.hostname, proxy_port)
+        if https:
+            self._new_connection = partial(
+                http.client.HTTPSConnection,
+                *address,
+                timeout=config.timeout,
+                context=ssl.create_default_context(),
+            )
+        else:
+            self._new_connection = partial(
+                http.client.HTTPConnection, *address, timeout=config.timeout
+            )
+        self._errors = (OSError, http.client.HTTPException)
         self._local = threading.local()
         self._lock = threading.Lock()
         self._connections: list[http.client.HTTPConnection] = []
@@ -230,13 +288,7 @@ class ChatClient:
     def _connection(self) -> http.client.HTTPConnection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            host, port = self._address
-            if self._context is None:
-                conn = http.client.HTTPConnection(host, port, timeout=self.config.timeout)
-            else:
-                conn = http.client.HTTPSConnection(
-                    host, port, timeout=self.config.timeout, context=self._context
-                )
+            conn = self._new_connection()
             if self._tunnel:
                 conn.set_tunnel(*self._tunnel)
             self._local.conn = conn
@@ -255,7 +307,7 @@ class ChatClient:
                 conn.request("POST", self._target, body, headers)
                 response = conn.getresponse()
                 return response.status, response.read()
-            except (OSError, http.client.HTTPException) as exc:
+            except self._errors as exc:
                 conn.close()  # the next request opens a new connection
                 if not (reused and isinstance(exc, ConnectionError)):
                     raise
@@ -284,7 +336,7 @@ class ChatClient:
                 time.sleep(min(2.0, 0.1 * 2 ** attempt))
             try:
                 status, data = self._post(payload, headers)
-            except (OSError, http.client.HTTPException) as exc:
+            except self._errors as exc:
                 last_error = exc
                 logger.warning("request failed (attempt %d): %s", attempt + 1, exc)
                 continue
@@ -313,34 +365,59 @@ def run_corpus(
 ) -> list[RunRecord]:
     """Obtain one completion per entry, consulting the cache first.
 
-    Responses are appended to the cache as they arrive, so an interrupted
-    run resumes where it stopped. Entries whose request keeps failing are
-    marked ``failed`` and the run continues; an authentication failure
-    aborts the whole run.
+    Every prompt is looked up before any request; each distinct missing
+    prompt is then requested once, in corpus order, and entries that share
+    it share its record. Responses are appended to the cache as they
+    arrive, so an interrupted run resumes where it stopped. Entries whose
+    request keeps failing are marked ``failed`` and the run continues; an
+    authentication failure aborts the whole run.
     """
+    _split_url(config.endpoint, ("http", "https"), "endpoint")
     cache = JsonlCache(cache_path)
+    head = prompt_head(spec, exemplars)
+    finals = [final_message(e.source, spec, not head) for e in corpus]
+    digest = prompt_hasher(head, config.model, config.temperature)
+    hashes = [digest([m]) for m in finals]
+    first: dict[str, int] = {}  # each prompt's first entry, in corpus order
+    for i, key in enumerate(hashes):
+        first.setdefault(key, i)
+    records = {key: cache.get(key) for key in first}
+    missing = [i for key, i in first.items() if records[key] is None]
+    if missing:
+        prompts = [(hashes[i], corpus[i].entry_id, head + [finals[i]]) for i in missing]
+        fetched = _request(prompts, spec, config, cache, client)
+        records.update((r.prompt_hash, r) for r in fetched)
+    return [
+        record if record.entry_id == entry.entry_id else replace(record, entry_id=entry.entry_id)
+        for entry, record in zip(corpus, map(records.__getitem__, hashes))
+    ]
+
+
+def _request(
+    prompts: list[tuple[str, str, list[ChatMessage]]],
+    spec: PromptSpec,
+    config: ClientConfig,
+    cache: JsonlCache,
+    client: ChatClient | None,
+) -> list[RunRecord]:
+    """Request each (prompt hash, entry id, messages) once and cache the
+    replies; builds and closes a client when none is given."""
     owned = client is None
     client = client or ChatClient(config)
     throttle = _Throttle(config.rate_limit)
 
-    prompts = [build_prompt(e.source, spec, exemplars) for e in corpus]
-    hashes = [prompt_hash(p, config.model, config.temperature) for p in prompts]
-
-    def fetch(i: int) -> RunRecord:
-        entry = corpus[i]
-        cached = cache.get(hashes[i])
-        if cached is not None:
-            return replace(cached, entry_id=entry.entry_id)
+    def fetch(prompt: tuple[str, str, list[ChatMessage]]) -> RunRecord:
+        key, entry_id, messages = prompt
         requested_at = _utcnow()
         throttle.wait()
         try:
-            raw = client.complete(prompts[i])
+            raw = client.complete(messages)
         except NetworkError as exc:
-            logger.error("entry %s failed: %s", entry.entry_id, exc)
+            logger.error("entry %s failed: %s", entry_id, exc)
             # not cached: a failed entry is retried by the next run
             return RunRecord(
-                entry_id=entry.entry_id,
-                prompt_hash=hashes[i],
+                entry_id=entry_id,
+                prompt_hash=key,
                 raw="",
                 outcome="failed",
                 translation=None,
@@ -350,8 +427,8 @@ def run_corpus(
             )
         translation = extract_translation(raw, spec)
         record = RunRecord(
-            entry_id=entry.entry_id,
-            prompt_hash=hashes[i],
+            entry_id=entry_id,
+            prompt_hash=key,
             raw=raw,
             outcome="unparseable" if translation is None else "ok",
             translation=translation,
@@ -364,9 +441,11 @@ def run_corpus(
 
     try:
         if config.concurrency <= 1:
-            return [fetch(i) for i in range(len(corpus))]
+            return [fetch(p) for p in prompts]
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            return list(pool.map(fetch, range(len(corpus))))
+            return list(pool.map(fetch, prompts))
     finally:
         if owned:
             client.close()

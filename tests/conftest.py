@@ -91,12 +91,14 @@ class _EchoHandler(BaseHTTPRequestHandler):
     """Replies with the bracketed English source of the last user message.
 
     ``server.script`` can hold a list of HTTP status codes to emit before
-    behaving normally; every request increments ``server.calls``.
+    behaving normally; every request increments ``server.calls``. Each
+    request runs on its own thread, so the count is kept under a lock.
     """
 
     def do_POST(self):  # noqa: N802 (http.server API)
         server = self.server
-        server.calls += 1
+        with server.lock:
+            server.calls += 1
         server.last_auth = self.headers.get("Authorization")
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
@@ -132,6 +134,7 @@ class _EchoHandler(BaseHTTPRequestHandler):
 def echo_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _EchoHandler)
     server.calls = 0
+    server.lock = threading.Lock()
     server.script = []
     server.last_auth = None
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -141,4 +144,5 @@ def echo_server():
         yield server
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -351,3 +352,47 @@ def test_cli_imports_with_the_standard_library_only():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_package_exports_names_not_modules():
+    import neogate
+
+    exported = {name: getattr(neogate, name) for name in neogate.__all__}
+    assert len(exported) == len(neogate.__all__)
+    assert [n for n, v in exported.items() if isinstance(v, types.ModuleType)] == []
+
+
+NETWORK_MODULES = ("concurrent.futures", "http.client", "ssl", "urllib.request")
+
+
+def cli_in_subprocess(argv: list[str]) -> tuple[int, list[str]]:
+    """Run ``neogate argv`` in a fresh interpreter; return its exit code and
+    the ``NETWORK_MODULES`` it loaded."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    check = (
+        "import sys; from neogate.cli import dispatch; code = dispatch(sys.argv[1:]); "
+        f"print(code, *sorted(set({NETWORK_MODULES!r}) & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", check, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    code, *modules = result.stdout.splitlines()[-1].split()
+    return int(code), modules
+
+
+def test_warm_run_and_evaluate_load_no_network_modules(corpus_file, tmp_path, echo_server):
+    out = tmp_path / "out"
+    run = ["run", f"--corpus={corpus_file}", "--model=m", f"--out={out}", "--concurrency=2"]
+    assert cli_in_subprocess(run + [f"--endpoint={echo_server.url}"]) == (0, list(NETWORK_MODULES))
+    assert echo_server.calls == 1
+    assert cli_in_subprocess(run + [f"--endpoint={echo_server.url}"]) == (0, [])
+    assert echo_server.calls == 1
+    # the endpoint is still checked when every prompt is cached
+    assert cli_in_subprocess(run + ["--endpoint=localhost:9/v1"]) == (1, [])
+    hyp = str(out / "hypotheses.txt")
+    assert cli_in_subprocess(["evaluate", f"--corpus={corpus_file}", f"--hyp={hyp}"]) == (0, [])

@@ -3,17 +3,37 @@
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import logging
+import math
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from neogate import NeoGateError, parse_corpus, prompt_hash
-from neogate.promptkit import ChatMessage, PromptFormat, PromptSpec
+from neogate import (
+    NeoGateError,
+    adapt_corpus,
+    build_prompt,
+    parse_corpus,
+    prompt_hash,
+    rank_exemplar_candidates,
+)
+from neogate import runner
+from neogate.promptkit import (
+    ChatMessage,
+    PromptFormat,
+    PromptSpec,
+    exemplars_from_corpus,
+    final_message,
+    prompt_head,
+)
 from neogate.runner import (
     AuthError,
     CacheCorruption,
@@ -24,6 +44,7 @@ from neogate.runner import (
     NetworkError,
     RunRecord,
     export_hypotheses,
+    prompt_hasher,
     run_corpus,
 )
 
@@ -81,6 +102,75 @@ def test_prompt_hash_stability_and_sensitivity():
     assert first != prompt_hash(messages, "model-x", 0.7)
 
 
+def old_prompt_hash(messages, model, temperature) -> str:
+    """The digest formula the cache files on disk were keyed with."""
+    payload = json.dumps(
+        {
+            "model": model,
+            "temperature": temperature,
+            "messages": [{"role": m.role, "content": m.content} for m in messages],
+        },
+        ensure_ascii=False,
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+MESSAGE_LISTS = st.lists(
+    st.builds(ChatMessage, st.sampled_from(["user", "assistant"]) | st.text(), st.text()),
+    max_size=6,
+)
+TEMPERATURES = st.floats() | st.integers(-(2**70), 2**70)
+
+
+@given(MESSAGE_LISTS, st.text(), TEMPERATURES)
+@example([ChatMessage("user", "ciao \"<x>\"\n\u2028é")], "m", -0.0)
+@example([], "", 1e300)
+@example([ChatMessage("user", "")], "modèle", math.nan)
+@example([ChatMessage("user", "")], "m", -math.inf)
+def test_prompt_hash_matches_the_json_dumps_formula(messages, model, temperature):
+    expected = old_prompt_hash(messages, model, temperature)
+    assert prompt_hash(messages, model, temperature) == expected
+    if messages:
+        # what run_corpus does: the head hashed once, then each final message
+        *head, last = messages
+        assert prompt_hasher(head, model, temperature)([last]) == expected
+
+
+# SHA-256 of the newline-joined prompt digests of the full test split, for
+# every format/shots configuration of the benchmark, per paradigm; the
+# values were recorded from `json.dumps` prompt digests before the prompt
+# head was hashed once per run
+PROMPT_CONFIGS = (
+    ("zero_shot", 0), ("direct", 1), ("direct", 4), ("direct", 8),
+    ("binary", 4), ("binary", 8), ("ternary", 4), ("ternary", 8),
+)
+GOLDEN_PROMPT_DIGESTS = {
+    "asterisk": "3cd80b604a6b52bf1b06f9754bf9d83c4bc9e79b1462e0fbcf91c0549c8d1bcc",
+    "schwa": "c38d54d72170b5f1a315f5eae0b6b1a7193f8a83dbe6b99a6d2a38ea7e899cfa",
+}
+
+
+@pytest.mark.parametrize("paradigm", sorted(GOLDEN_PROMPT_DIGESTS))
+def test_full_split_prompt_digests(paradigm, request, test_split, dev_split):
+    mapping = request.getfixturevalue(paradigm)
+    ranked = rank_exemplar_candidates(dev_split)
+    adapted = {a.entry_id: a.ref_adapted for a in adapt_corpus(dev_split, mapping)}
+    public, shared = [], []
+    for fmt, shots in PROMPT_CONFIGS:
+        ids = tuple(ranked[:shots])
+        spec = PromptSpec(PromptFormat(fmt), shots, mapping, ids)
+        exemplars = exemplars_from_corpus(dev_split, adapted, ids)
+        head = prompt_head(spec, exemplars)
+        digest = prompt_hasher(head, "golden-model", 0.0)
+        for e in test_split:
+            public.append(prompt_hash(build_prompt(e.source, spec, exemplars), "golden-model", 0.0))
+            shared.append(digest([final_message(e.source, spec, not head)]))
+    assert shared == public
+    joined = hashlib.sha256("\n".join(public).encode()).hexdigest()
+    assert joined == GOLDEN_PROMPT_DIGESTS[paradigm]
+
+
 def test_cache_round_trip(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = JsonlCache(path)
@@ -97,6 +187,30 @@ def test_cache_corruption_reports_offset(tmp_path):
     path.write_text(good + "{not json\n", encoding="utf-8")
     with pytest.raises(CacheCorruption, match=str(len(good.encode()))):
         JsonlCache(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["{not json", "5", "[]", '"text"', "null", make_record().to_json().replace("outcome", "result")],
+    ids=["not-json", "number", "list", "string", "null", "missing-field"],
+)
+def test_cache_checks_every_line_at_load(tmp_path, line):
+    path = tmp_path / "cache.jsonl"
+    first = make_record(key="k1").to_json() + "\n"
+    # the bad line is not the last one, and no record is ever read
+    path.write_text(first + line + "\n" + make_record(key="k2").to_json() + "\n")
+    with pytest.raises(CacheCorruption, match=f"offset {len(first.encode())}:"):
+        JsonlCache(path)
+
+
+def test_cache_last_record_of_a_hash_wins(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    old, new = make_record("e1", "k1", "<old>"), make_record("e2", "k1", "<new>")
+    path.write_text(old.to_json() + "\n" + new.to_json() + "\n", encoding="utf-8")
+    cache = JsonlCache(path)
+    assert len(cache) == 1
+    assert cache.get("k1") == new
+    assert cache.records() == [new]
 
 
 def test_torn_last_line_is_truncated_and_run_resumes(
@@ -189,6 +303,31 @@ def test_concurrent_run_is_complete(echo_server, small_corpus, zero_spec, tmp_pa
     records = run_corpus(small_corpus, zero_spec, config, tmp_path / "c.jsonl")
     assert [r.entry_id for r in records] == ["e1", "e2", "e3"]
     assert all(r.outcome == "ok" for r in records)
+
+
+def test_duplicate_prompts_are_requested_once(echo_server, small_corpus, zero_spec, tmp_path):
+    # e1, e2, e3, then the sources of e1, e2 and e1 again under new ids
+    corpus = small_corpus + [
+        replace(small_corpus[i], entry_id=f"d{n}") for n, i in enumerate((0, 1, 0))
+    ]
+    config = ClientConfig(endpoint=echo_server.url, model="echo", concurrency=4)
+    records = run_corpus(corpus, zero_spec, config, tmp_path / "c.jsonl")
+    assert echo_server.calls == 3
+    assert [r.entry_id for r in records] == ["e1", "e2", "e3", "d0", "d1", "d2"]
+    assert [r.translation for r in records[3:]] == [records[i].translation for i in (0, 1, 0)]
+    assert all(r.outcome == "ok" for r in records)
+    assert len(JsonlCache(tmp_path / "c.jsonl")) == 3
+
+
+def test_empty_corpus_builds_no_client(zero_spec, tmp_path, monkeypatch):
+    def no_client(config):
+        raise AssertionError("a client was built")
+
+    monkeypatch.setattr(runner, "ChatClient", no_client)
+    config = ClientConfig(endpoint="http://127.0.0.1:9/v1", model="m")
+    assert run_corpus([], zero_spec, config, tmp_path / "c.jsonl") == []
+    with pytest.raises(NeoGateError, match="endpoint is not an http"):
+        run_corpus([], zero_spec, ClientConfig(endpoint="localhost:9", model="m"), tmp_path / "c.jsonl")
 
 
 def test_export_conventions():
