@@ -51,7 +51,7 @@ from .promptkit import (
     rank_exemplar_candidates,
     render_prompt_dump,
 )
-from .runner import ClientConfig, JsonlCache, export_hypotheses, run_corpus
+from .runner import ClientConfig, JsonlCache, export_hypotheses, lookup_prompts, run_corpus
 
 ADAPTED_HEADER = ("ID", "SOURCE", "REF-M", "REF-F", "REF-ADAPTED", "ANNOTATION")
 
@@ -319,19 +319,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    _require(args, "corpus", "cache")
+    _require(args, "corpus", "cache", "model")
     tagset = load_builtin_tagset()
     corpus = load_corpus(args.corpus, tagset)
-    cache = JsonlCache(args.cache)
-    fmt = PromptFormat(args.format)
-    records = {r.entry_id: r for r in cache.records()}
-    lines = []
-    for entry in corpus:
-        record = records.get(entry.entry_id)
-        if record is None:
-            raise NeoGateError(f"no cached record for entry {entry.entry_id}")
-        translation = extract_translation(record.raw, fmt)
-        lines.append((translation or "").replace("\n", " "))
+    spec, exemplars = _build_spec(args, _load_mapping(args, tagset), tagset)
+    hashes, records, missing = lookup_prompts(
+        corpus, spec, exemplars, args.model, args.temperature, JsonlCache(args.cache)
+    )
+    if missing:
+        key, entry_id, _ = missing[0]
+        raise NeoGateError(f"no cached record for entry {entry_id} (prompt hash {key})")
+    lines = [
+        (extract_translation(records[key].raw, spec) or "").replace("\n", " ") for key in hashes
+    ]
     text = "\n".join(lines) + "\n"
     if args.out_file:
         Path(args.out_file).write_text(text, encoding="utf-8")
@@ -459,12 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("extract", cmd_extract, "re-extract hypotheses from a run cache")
     p.add_argument("--corpus", default="")
+    _add_paradigm_flags(p)
+    _add_spec_flags(p)
+    p.add_argument("--model", default="")
+    p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--cache", default="")
-    p.add_argument(
-        "--format",
-        default="zero_shot",
-        choices=[f.value for f in PromptFormat],
-    )
     p.add_argument("--out-file", default="")
 
     p = command("evaluate", cmd_evaluate, "score a hypothesis file")

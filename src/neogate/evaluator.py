@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -218,9 +217,16 @@ def aggregate(entry_evals: Sequence[EntryEval]) -> EvalCounts:
     )
 
 
-def round_half_up(value: float, places: int = 2) -> float:
-    quantum = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+def round_half_up(value: float, denominator: int = 1, places: int = 2) -> float:
+    """``value / denominator`` rounded to ``places`` decimals with ties
+    away from zero, computed exactly: a float ``value`` counts at its
+    binary value. ``denominator`` must be positive."""
+    numerator, scale = value.as_integer_ratio()
+    scale *= denominator
+    unit = 10**places
+    quotient, rest = divmod(abs(numerator) * unit, scale)
+    quotient += 2 * rest >= scale
+    return quotient / unit if numerator >= 0 else -(quotient / unit)
 
 
 def metric_ratios(counts: EvalCounts) -> tuple[float, float, float, float]:
@@ -239,17 +245,24 @@ def metric_ratios(counts: EvalCounts) -> tuple[float, float, float, float]:
 
 
 def compute_metrics(counts: EvalCounts) -> MetricReport:
-    """Derive the rounded metric report from raw counts."""
-    cov, acc, cwa, mis = metric_ratios(counts)
-    rate = (
-        counts.unparseable_entries / counts.entries * 100.0 if counts.entries else 0.0
-    )
+    """Derive the rounded metric report from raw counts.
+
+    Each percentage is rounded from the integer counts, so a tie at the
+    third decimal rounds up however the float ratio would land.
+    """
+    annotations, matched, correct = counts.annotations, counts.matched, counts.correct
+    if annotations == 0:
+        raise NoAnnotations("cannot compute metrics over zero annotations")
     return MetricReport(
-        cov=round_half_up(cov),
-        acc=round_half_up(acc),
-        cwa=round_half_up(cwa),
-        mis=round_half_up(mis),
-        unparseable_rate=round_half_up(rate),
+        cov=round_half_up(100 * matched, annotations),
+        acc=round_half_up(100 * correct, matched) if matched else 0.0,
+        cwa=round_half_up(100 * correct, annotations) if matched else 0.0,
+        mis=round_half_up(100 * (counts.found - correct), annotations),
+        unparseable_rate=(
+            round_half_up(100 * counts.unparseable_entries, counts.entries)
+            if counts.entries
+            else 0.0
+        ),
     )
 
 

@@ -13,6 +13,7 @@ modules are loaded only when some prompt is missing from the cache.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -128,64 +129,164 @@ def prompt_hash(messages: Sequence[ChatMessage], model: str, temperature: float)
     return prompt_hasher((), model, temperature)(messages)
 
 
+_INDEX_VERSION = 2
+
+
+def _line_text(data: bytearray, start: int, end: int) -> str:
+    return data[start:end].decode("utf-8", errors="replace").strip()
+
+
 class JsonlCache:
     """Append-only JSONL store of run records indexed by prompt hash.
 
-    Every line is checked when the file is loaded; the index keeps the
-    line, and a ``RunRecord`` is built from it only when it is read.
+    Every line is checked once. The sidecar ``<path>.idx`` holds the length
+    of a prefix that a load has checked, the byte span of each hash's last
+    record in it, and one SHA-256 over that prefix and those spans. A load
+    whose sidecar digest matches checks only the lines after that prefix;
+    any other load checks the whole file. Only ``save_index`` writes the
+    sidecar. A ``RunRecord`` is decoded from its line only when it is read.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self.index_path = self.path.with_name(self.path.name + ".idx")
         self._lock = threading.Lock()
-        self._index: dict[str, str] = {}
+        # the checked file content, then this instance's appends
+        self._data = bytearray()
+        # prompt hash -> (start, end) of its last record in _data
+        self._index: dict[str, Sequence[int]] = {}
+        self._indexed = 0  # the length of _data that the sidecar covers
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        offset = 0
-        torn = False
         with open(self.path, "rb") as fh:
-            for raw_line in fh:
-                if not raw_line.endswith(b"\n"):
-                    torn = True  # a crash cut the last append short
-                    break
-                line = raw_line.decode("utf-8", errors="replace").strip()
-                if line:
-                    try:
-                        data = json.loads(line)
-                        if not isinstance(data, dict) or not _RECORD_FIELDS <= data.keys():
-                            raise ValueError("not an object with every run record field")
-                    except ValueError as exc:  # JSONDecodeError included
-                        raise CacheCorruption(
-                            f"{self.path}: bad record at byte offset {offset}: {exc}"
-                        ) from exc
-                    self._index[data["prompt_hash"]] = line
-                offset += len(raw_line)
-        if torn:
-            # cut the fragment off, or the next put would join it
-            logger.warning(
-                "%s: dropping torn last record at byte offset %d", self.path, offset
-            )
-            os.truncate(self.path, offset)
+            # read into one buffer: the file is held, not also copied
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            del data[fh.readinto(data):]
+            data += fh.read()
+        self._data = data
+        self._indexed = self._checked_prefix()
+        end = self._check(self._indexed)
+        if end < len(data):
+            # a crash cut the last append short: cut the fragment off, or
+            # the next put would join it
+            logger.warning("%s: dropping torn last record at byte offset %d", self.path, end)
+            os.truncate(self.path, end)
+            del data[end:]
+
+    def _checked_prefix(self) -> int:
+        """The length of the prefix that the sidecar vouches for, taking
+        its index; 0 when the sidecar is missing, unreadable or malformed,
+        or its digest does not match the file and the index."""
+        data = self._data
+        try:
+            header, _, body = self.index_path.read_bytes().partition(b"\n")
+            saved = json.loads(header)
+            length = saved["length"]
+            if not (
+                saved["version"] == _INDEX_VERSION
+                and type(length) is int
+                and 0 < length <= len(data)
+                and data[length - 1] == 0x0A  # a line boundary
+            ):
+                return 0
+            with memoryview(data) as view:
+                digest = hashlib.sha256(view[:length])
+            digest.update(body)
+            if digest.hexdigest() != saved["sha256"]:
+                return 0
+            index = json.loads(body)
+        except (OSError, ValueError, LookupError, TypeError):
+            return 0
+        if not isinstance(index, dict):
+            return 0
+        self._index = index
+        return length
+
+    def _check(self, offset: int) -> int:
+        """Check and index every whole line from ``offset``; returns the
+        end of the last one."""
+        data, index = self._data, self._index
+        while end := data.find(b"\n", offset) + 1:
+            line = _line_text(data, offset, end)
+            if line:
+                try:
+                    record = json.loads(line)
+                    if not isinstance(record, dict) or not _RECORD_FIELDS <= record.keys():
+                        raise ValueError("not an object with every run record field")
+                    if not isinstance(record["prompt_hash"], str):
+                        raise ValueError("prompt_hash is not a string")
+                except ValueError as exc:  # JSONDecodeError included
+                    raise CacheCorruption(
+                        f"{self.path}: bad record at byte offset {offset}: {exc}"
+                    ) from exc
+                index[record["prompt_hash"]] = (offset, end)
+            offset = end
+        return offset
+
+    def save_index(self) -> None:
+        """Write the sidecar for the records this instance holds, unless it
+        covers them already: a header line with the length and digest, then
+        the index. The sidecar is replaced atomically. One that cannot be
+        written only costs the next load a full check, and a torn one is
+        never trusted, so it is neither synced nor reported."""
+        with self._lock:
+            length = len(self._data)
+            if length <= self._indexed:
+                return
+            body = json.dumps(self._index).encode("ascii")
+            with memoryview(self._data) as view:
+                digest = hashlib.sha256(view[:length])
+            digest.update(body)
+            self._indexed = length
+        header = {"version": _INDEX_VERSION, "length": length, "sha256": digest.hexdigest()}
+        tmp = self.index_path.with_name(
+            f"{self.index_path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
+        )
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(json.dumps(header).encode("ascii") + b"\n")
+                fh.write(body)
+            os.replace(tmp, self.index_path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+
+    def _record(self, key: str, span: Sequence[int]) -> RunRecord:
+        try:
+            fields = json.loads(_line_text(self._data, *span))
+            if fields["prompt_hash"] == key:
+                return RunRecord.from_json(fields)
+        except (ValueError, LookupError, TypeError):
+            pass
+        # every checked span holds its own hash's record, so the sidecar
+        # is wrong: drop it, and the next load checks the whole file
+        with contextlib.suppress(OSError):
+            self.index_path.unlink()
+        raise CacheCorruption(
+            f"{self.index_path}: no record of {key} where the index points; "
+            "the index was removed, run again"
+        )
 
     def get(self, key: str) -> RunRecord | None:
         with self._lock:
-            line = self._index.get(key)
-        return None if line is None else RunRecord.from_json(json.loads(line))
+            span = self._index.get(key)
+            return None if span is None else self._record(key, span)
 
     def records(self) -> list[RunRecord]:
         with self._lock:
-            lines = list(self._index.values())
-        return [RunRecord.from_json(json.loads(line)) for line in lines]
+            return [self._record(key, span) for key, span in self._index.items()]
 
     def put(self, record: RunRecord) -> None:
-        line = record.to_json()
+        line = (record.to_json() + "\n").encode("utf-8")
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-            self._index[record.prompt_hash] = line
+            with open(self.path, "ab") as fh:
+                fh.write(line)
+            start = len(self._data)
+            self._data += line
+            self._index[record.prompt_hash] = (start, len(self._data))
 
     def __len__(self) -> int:
         return len(self._index)
@@ -374,23 +475,51 @@ def run_corpus(
     """
     _split_url(config.endpoint, ("http", "https"), "endpoint")
     cache = JsonlCache(cache_path)
-    head = prompt_head(spec, exemplars)
-    finals = [final_message(e.source, spec, not head) for e in corpus]
-    digest = prompt_hasher(head, config.model, config.temperature)
-    hashes = [digest([m]) for m in finals]
-    first: dict[str, int] = {}  # each prompt's first entry, in corpus order
-    for i, key in enumerate(hashes):
-        first.setdefault(key, i)
-    records = {key: cache.get(key) for key in first}
-    missing = [i for key, i in first.items() if records[key] is None]
+    hashes, records, missing = lookup_prompts(
+        corpus, spec, exemplars, config.model, config.temperature, cache
+    )
     if missing:
-        prompts = [(hashes[i], corpus[i].entry_id, head + [finals[i]]) for i in missing]
-        fetched = _request(prompts, spec, config, cache, client)
+        fetched = _request(missing, spec, config, cache, client)
         records.update((r.prompt_hash, r) for r in fetched)
     return [
         record if record.entry_id == entry.entry_id else replace(record, entry_id=entry.entry_id)
         for entry, record in zip(corpus, map(records.__getitem__, hashes))
     ]
+
+
+def lookup_prompts(
+    corpus: Sequence[Entry],
+    spec: PromptSpec,
+    exemplars: Sequence[Exemplar],
+    model: str,
+    temperature: float,
+    cache: JsonlCache,
+) -> tuple[list[str], dict[str, RunRecord], list[tuple[str, str, list[ChatMessage]]]]:
+    """Look every entry's prompt up in the cache.
+
+    Returns each entry's prompt hash, the cached record of each hash found,
+    and the (prompt hash, entry id, messages) of each missing hash's first
+    entry, in corpus order. When every prompt was found, the cache's
+    sidecar is saved: a run with misses goes on to append, so a sidecar
+    written before its requests would not cover the file it leaves.
+    """
+    head = prompt_head(spec, exemplars)
+    finals = [final_message(e.source, spec, not head) for e in corpus]
+    digest = prompt_hasher(head, model, temperature)
+    hashes = [digest([m]) for m in finals]
+    first: dict[str, int] = {}  # each prompt's first entry, in corpus order
+    for i, key in enumerate(hashes):
+        first.setdefault(key, i)
+    records, missing = {}, []
+    for key, i in first.items():
+        record = cache.get(key)
+        if record is None:
+            missing.append((key, corpus[i].entry_id, head + [finals[i]]))
+        else:
+            records[key] = record
+    if not missing:
+        cache.save_index()
+    return hashes, records, missing
 
 
 def _request(

@@ -16,6 +16,21 @@ from neogate import load_builtin_mapping, load_builtin_tagset, load_corpus
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
+# a socket or file that a test leaves open fails it: its finalizer's
+# ResourceWarning reaches pytest as an unraisable exception
+LEAK_CHECKS = (
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+)
+
+
+def pytest_collection_modifyitems(items):
+    here = Path(__file__).resolve().parent
+    for item in items:
+        if item.path.is_relative_to(here):
+            for mark in LEAK_CHECKS:
+                item.add_marker(mark)
+
 # The running example entry used across the module tests: a department
 # chair hiring professors, with a tagged reference and an anchor-less
 # annotation (function-word anchors are exercised separately).
@@ -137,7 +152,8 @@ def echo_server():
     server.lock = threading.Lock()
     server.script = []
     server.last_auth = None
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so shutdown() does not wait out the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     try:

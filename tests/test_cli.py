@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -12,7 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from neogate import build_prompt, load_builtin_tagset, prompt_hash, runner
 from neogate.cli import (
+    _build_spec,
+    _load_mapping,
+    build_parser,
     dispatch,
     metric_report_from_kv,
     parse_kv,
@@ -21,7 +26,7 @@ from neogate.cli import (
 from neogate.evaluator import EvalCounts, MetricReport
 from neogate.runner import RunRecord
 
-from .conftest import DATA_DIR, EXAMPLE_CORPUS_TEXT, split_path
+from .conftest import DATA_DIR, EXAMPLE_CORPUS_TEXT, EXAMPLE_SOURCE, split_path
 
 # SHA-256 of `neogate adapt` on the bundled test split, and of the report.kv
 # and trace.tsv of `neogate evaluate` scoring those adapted references
@@ -251,10 +256,23 @@ def test_kappa_requires_inputs(capsys):
     assert dispatch(["kappa"]) == 2
 
 
+def prompt_key(argv: list[str], source: str) -> str:
+    """The prompt hash that ``neogate argv`` looks ``source`` up under."""
+    args = build_parser().parse_args(argv)
+    tagset = load_builtin_tagset()
+    spec, exemplars = _build_spec(args, _load_mapping(args, tagset), tagset)
+    return prompt_hash(build_prompt(source, spec, exemplars), args.model, args.temperature)
+
+
 def test_extract_from_cache(corpus_file, tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    out_file = tmp_path / "hyp.txt"
+    argv = ["extract", "--corpus", str(corpus_file), "--cache", str(cache),
+            "--format", "binary", "--shots", "1", "--dev-corpus", str(split_path("dev")),
+            "--model", "m", "--out-file", str(out_file)]
     record = RunRecord(
         entry_id="0001",
-        prompt_hash="h1",
+        prompt_hash=prompt_key(argv, EXAMPLE_SOURCE),
         raw="[Italian, neomorpheme] <L* direttor* qui.>",
         outcome="ok",
         translation="ignored",
@@ -262,15 +280,59 @@ def test_extract_from_cache(corpus_file, tmp_path, capsys):
         requested_at="t",
         completed_at="t",
     )
-    cache = tmp_path / "cache.jsonl"
     cache.write_text(record.to_json() + "\n", encoding="utf-8")
-    out_file = tmp_path / "hyp.txt"
-    code = dispatch(
-        ["extract", "--corpus", str(corpus_file), "--cache", str(cache),
-         "--format", "binary", "--out-file", str(out_file)]
-    )
+    code = dispatch(argv)
     assert code == 0
     assert out_file.read_text(encoding="utf-8") == "L* direttor* qui.\n"
+
+
+class FakeClient:
+    """In-process ``ChatClient``: replies with the model name and the
+    source, then a neomorpheme-labelled reversed source."""
+
+    def __init__(self, config):
+        self.model = config.model
+
+    def complete(self, messages) -> str:
+        source = re.search(r"\[English\] <(.*?)>", messages[-1].content, re.S).group(1)
+        return f"<{self.model}: {source}>\n[Italian, neomorpheme] <{source[::-1]}>"
+
+    def close(self) -> None:
+        pass
+
+
+UNUSED_ENDPOINT = "--endpoint=http://127.0.0.1:9/v1"
+
+
+@pytest.mark.parametrize("fmt, shots", [("zero_shot", 0), ("direct", 1), ("binary", 4), ("ternary", 8)])
+def test_extract_after_a_full_split_run_gives_its_hypotheses(fmt, shots, tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "ChatClient", FakeClient)
+    out = tmp_path / "out"
+    spec = [f"--corpus={split_path('test')}", "--paradigm=schwa", f"--format={fmt}",
+            f"--shots={shots}", f"--dev-corpus={split_path('dev')}", "--model=m",
+            "--temperature=0.5"]
+    assert dispatch(["run", *spec, UNUSED_ENDPOINT, f"--out={out}"]) == 0
+    extracted = tmp_path / "extracted.txt"
+    argv = ["extract", *spec, f"--cache={out / 'cache.jsonl'}", f"--out-file={extracted}"]
+    assert dispatch(argv) == 0
+    assert extracted.read_bytes() == (out / "hypotheses.txt").read_bytes()
+
+
+def test_extract_uses_the_records_of_its_model(corpus_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(runner, "ChatClient", FakeClient)
+    cache = tmp_path / "cache.jsonl"
+    for model in ("a", "b"):
+        run = ["run", f"--corpus={corpus_file}", f"--model={model}", f"--cache={cache}"]
+        assert dispatch(run + [UNUSED_ENDPOINT, f"--out={tmp_path / model}"]) == 0
+    assert len(cache.read_text(encoding="utf-8").splitlines()) == 2
+    capsys.readouterr()
+    for model in ("b", "a"):
+        extract = ["extract", f"--corpus={corpus_file}", f"--model={model}", f"--cache={cache}"]
+        assert dispatch(extract) == 0
+        assert capsys.readouterr().out == f"{model}: {EXAMPLE_SOURCE}\n"
+    argv = ["extract", f"--corpus={corpus_file}", "--model=c", f"--cache={cache}"]
+    assert dispatch(argv) == 1
+    assert f"entry 0001 (prompt hash {prompt_key(argv, EXAMPLE_SOURCE)})" in capsys.readouterr().err
 
 
 def test_run_and_config_precedence(corpus_file, tmp_path, echo_server, capsys):
@@ -396,3 +458,7 @@ def test_warm_run_and_evaluate_load_no_network_modules(corpus_file, tmp_path, ec
     assert cli_in_subprocess(run + ["--endpoint=localhost:9/v1"]) == (1, [])
     hyp = str(out / "hypotheses.txt")
     assert cli_in_subprocess(["evaluate", f"--corpus={corpus_file}", f"--hyp={hyp}"]) == (0, [])
+    extracted = tmp_path / "extracted.txt"
+    extract = ["extract", f"--corpus={corpus_file}", "--model=m", f"--cache={out / 'cache.jsonl'}"]
+    assert cli_in_subprocess(extract + [f"--out-file={extracted}"]) == (0, [])
+    assert extracted.read_bytes() == (out / "hypotheses.txt").read_bytes()

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from neogate import (
@@ -206,6 +209,41 @@ def test_rounding_half_up():
     assert round_half_up(0.125) == 0.13
     assert round_half_up(0.005) == 0.01
     assert round_half_up(57.084999) == 57.08
+
+
+def oracle_percent(numerator: int, denominator: int) -> float:
+    """100 * numerator / denominator to 2 decimals, ties away from zero."""
+    hundredths = abs(Fraction(100 * numerator, denominator)) * 100
+    rounded = math.floor(hundredths + Fraction(1, 2))
+    return math.copysign(rounded / 100, numerator)
+
+
+@st.composite
+def exact_counts(draw) -> EvalCounts:
+    annotations = draw(st.integers(1, 10**6))
+    matched = draw(st.integers(0, annotations))
+    correct = draw(st.integers(0, matched))
+    found = draw(st.integers(0, 10**6))  # below correct gives a negative MIS
+    entries = draw(st.integers(0, 10**6))
+    return EvalCounts(
+        annotations, matched, correct, found, entries, draw(st.integers(0, entries))
+    )
+
+
+@given(exact_counts())
+# 23/160 is 14.375% and 1/32 is 3.125%: float ratios land below these ties
+@example(EvalCounts(annotations=160, matched=23, correct=0, found=0, entries=160, unparseable_entries=23))
+@example(EvalCounts(annotations=32, matched=3, correct=1, found=0))
+def test_metrics_round_the_exact_ratios(counts):
+    report = compute_metrics(counts)
+    annotations, matched, correct = counts.annotations, counts.matched, counts.correct
+    assert report.cov == oracle_percent(matched, annotations)
+    assert report.acc == (oracle_percent(correct, matched) if matched else 0.0)
+    assert report.cwa == oracle_percent(correct, annotations)
+    assert report.mis == oracle_percent(counts.found - correct, annotations)
+    assert report.unparseable_rate == (
+        oracle_percent(counts.unparseable_entries, counts.entries) if counts.entries else 0.0
+    )
 
 
 def test_table_row_product_identity():

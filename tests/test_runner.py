@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import logging
 import math
 import socket
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -211,6 +214,218 @@ def test_cache_last_record_of_a_hash_wins(tmp_path):
     assert len(cache) == 1
     assert cache.get("k1") == new
     assert cache.records() == [new]
+
+
+def write_lines(path, *records) -> list[int]:
+    """Append one line per record (a RunRecord or raw text); returns the
+    byte offset of each."""
+    offsets = []
+    with open(path, "ab") as fh:
+        for record in records:
+            offsets.append(fh.tell())
+            text = record if isinstance(record, str) else record.to_json()
+            fh.write((text + "\n").encode("utf-8"))
+    return offsets
+
+
+def save_sidecar(path) -> Path:
+    JsonlCache(path).save_index()
+    return path.with_name(path.name + ".idx")
+
+
+def test_sidecar_checks_a_changed_prefix_in_full(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    offsets = write_lines(path, *(make_record(key=f"k{i}") for i in range(3)))
+    assert save_sidecar(path).exists()
+    # same length, one byte flipped inside the checked prefix
+    data = bytearray(path.read_bytes())
+    data[offsets[1]] = ord("x")
+    path.write_bytes(data)
+    with pytest.raises(CacheCorruption, match=f"offset {offsets[1]}:"):
+        JsonlCache(path)
+
+
+def test_sidecar_checks_appended_lines(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    write_lines(path, make_record(key="k1"))
+    save_sidecar(path)
+    [bad] = write_lines(path, "[]")
+    write_lines(path, make_record(key="k2"))
+    with pytest.raises(CacheCorruption, match=f"offset {bad}:"):
+        JsonlCache(path)
+
+
+def test_last_record_wins_across_the_checked_prefix(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    old, new = make_record("e1", "k1", "<old>"), make_record("e2", "k1", "<new>")
+    write_lines(path, old, make_record(key="k2"))
+    cache = JsonlCache(path)
+    assert cache.get("k1") == old
+    cache.save_index()
+    write_lines(path, new)
+    for _ in range(2):  # the tail checked against the sidecar, then the sidecar alone
+        cache = JsonlCache(path)
+        assert len(cache) == 2
+        assert cache.get("k1") == new
+        assert cache.records() == [new, make_record(key="k2")]
+        cache.save_index()
+
+
+def test_a_load_leaves_the_sidecar_alone(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    write_lines(path, make_record(key="k1"))
+    cache = JsonlCache(path)
+    assert cache.records() == [make_record(key="k1")]
+    cache.put(make_record(key="k2"))
+    assert not path.with_name("cache.jsonl.idx").exists()
+
+
+def rewrite_sidecar(sidecar: Path, edit) -> None:
+    """Apply ``edit`` to the sidecar's index, keeping its digest valid."""
+    header, _, body = sidecar.read_bytes().partition(b"\n")
+    saved, index = json.loads(header), json.loads(body)
+    edit(index)
+    body = json.dumps(index).encode()
+    cache = sidecar.with_name(sidecar.name.removesuffix(".idx")).read_bytes()
+    saved["sha256"] = hashlib.sha256(cache[: saved["length"]] + body).hexdigest()
+    sidecar.write_bytes(json.dumps(saved).encode() + b"\n" + body)
+
+
+def test_sidecar_whose_index_was_changed_is_not_used(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    old, new = make_record("e1", "k1", "<old>"), make_record("e2", "k1", "<new>")
+    [old_at, _, new_at] = write_lines(path, old, make_record(key="k2"), new)
+    sidecar = save_sidecar(path)
+    header, _, body = sidecar.read_bytes().partition(b"\n")
+    index = json.loads(body)
+    assert index["k1"][0] == new_at
+    # point k1 at its older record; the digest no longer matches
+    index["k1"] = [old_at, new_at - old_at]
+    sidecar.write_bytes(header + b"\n" + json.dumps(index).encode())
+    cache = JsonlCache(path)
+    assert cache.get("k1") == new
+    assert len(cache) == 2
+
+
+def test_sidecar_pointing_a_hash_at_another_record_is_caught(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    first, second = make_record(key="k1"), make_record("e2", "k2", "<two>")
+    write_lines(path, first, second)
+    sidecar = save_sidecar(path)
+
+    def swap(index):
+        index["k1"], index["k2"] = index["k2"], index["k1"]
+
+    rewrite_sidecar(sidecar, swap)
+    with pytest.raises(CacheCorruption, match="no record of k1 where the index points"):
+        JsonlCache(path).get("k1")
+    assert not sidecar.exists()
+    assert JsonlCache(path).records() == [first, second]
+
+
+def test_unwritable_sidecar_still_loads(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    write_lines(path, make_record(key="k1"))
+    path.with_name("cache.jsonl.idx").mkdir()  # can be neither read nor replaced
+    for _ in range(2):
+        cache = JsonlCache(path)
+        assert cache.get("k1") == make_record(key="k1")
+        cache.save_index()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.jsonl", "cache.jsonl.idx"]
+
+
+def test_only_a_fully_warm_lookup_saves_the_sidecar(
+    echo_server, small_corpus, zero_spec, tmp_path
+):
+    config = ClientConfig(endpoint=echo_server.url, model="echo")
+    path = tmp_path / "c.jsonl"
+    sidecar = path.with_name("c.jsonl.idx")
+    run_corpus(small_corpus[:2], zero_spec, config, path)
+    assert not sidecar.exists()
+    run_corpus(small_corpus, zero_spec, config, path)  # one miss
+    assert not sidecar.exists()
+    first = run_corpus(small_corpus, zero_spec, config, path)
+    saved = sidecar.read_bytes()
+    assert json.loads(saved.partition(b"\n")[0])["length"] == path.stat().st_size
+    assert run_corpus(small_corpus, zero_spec, config, path) == first
+    assert sidecar.read_bytes() == saved  # it already covers the file
+    assert echo_server.calls == 3
+
+
+def test_warm_load_decodes_only_the_lines_it_reads(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    records = [make_record(key=f"k{i}", raw=f"<{i}>") for i in range(5)]
+    write_lines(path, *records)
+    save_sidecar(path)
+    lines = set(path.read_text(encoding="utf-8").splitlines())
+    decoded = []
+    loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        if text in lines:
+            decoded.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    cache = JsonlCache(path)
+    assert decoded == []
+    assert cache.get("k3") == records[3]
+    assert cache.get("k1") == records[1]
+    assert len(decoded) == 2
+
+
+CACHE_KEYS = ["k0", "k1", "k2"]
+CACHE_STEPS = st.one_of(
+    st.tuples(st.just("put"), st.sampled_from(CACHE_KEYS), st.text(max_size=8)),
+    st.tuples(st.just("append"), st.sampled_from(CACHE_KEYS), st.text(max_size=8)),
+    st.tuples(st.just("bad"), st.sampled_from(["{not json", "5", "[]", "null", "   "])),
+    st.tuples(st.just("torn"), st.integers(1, 40)),
+    st.tuples(st.just("rewrite"), st.randoms(use_true_random=False)),
+    st.tuples(st.just("load")),
+)
+
+
+def cache_view(path):
+    """What a load of ``path`` shows: its records, or where it is corrupt.
+    The load then saves its sidecar."""
+    try:
+        cache = JsonlCache(path)
+    except CacheCorruption as exc:
+        return str(exc).split(": ")[1]  # "bad record at byte offset N"
+    view = len(cache), [cache.get(key) for key in CACHE_KEYS], cache.records()
+    cache.save_index()
+    return view
+
+
+@given(st.lists(CACHE_STEPS, max_size=12))
+def test_sidecar_loads_agree_with_full_checks(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, plain = Path(tmp, "cache.jsonl"), Path(tmp, "plain", "cache.jsonl")
+        plain.parent.mkdir()
+        for step in steps:
+            kind = step[0]
+            if kind == "put":  # the sidecar then covers the put line too
+                with contextlib.suppress(CacheCorruption):
+                    cache = JsonlCache(path)
+                    cache.put(make_record(raw=step[2], key=step[1]))
+                    cache.save_index()
+            elif kind == "append":
+                write_lines(path, make_record(raw=step[2], key=step[1]))
+            elif kind == "bad":
+                write_lines(path, step[1])
+            elif kind == "torn":
+                with open(path, "ab") as fh:
+                    fh.write(make_record().to_json().encode()[: step[1]])
+            elif kind == "rewrite" and path.exists():
+                lines = path.read_bytes().splitlines(keepends=True)
+                step[1].shuffle(lines)
+                path.write_bytes(b"".join(lines[: step[1].randint(0, len(lines))]))
+            if path.exists():
+                # a load with no sidecar checks the whole file
+                plain.write_bytes(path.read_bytes())
+                assert cache_view(path) == cache_view(plain)
+                assert path.read_bytes() == plain.read_bytes()  # the same torn tail cut
+                plain.with_name("cache.jsonl.idx").unlink(missing_ok=True)
 
 
 def test_torn_last_line_is_truncated_and_run_resumes(
@@ -432,7 +647,7 @@ class _KeepAliveServer(ThreadingHTTPServer):
 @pytest.fixture
 def keepalive_server():
     server = _KeepAliveServer()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
         yield server
@@ -441,6 +656,20 @@ def keepalive_server():
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+@pytest.fixture
+def new_client():
+    """Build ``ChatClient``s from ``ClientConfig`` fields; closed at teardown."""
+    clients = []
+
+    def new(**fields) -> ChatClient:
+        clients.append(ChatClient(ClientConfig(model="m", **fields)))
+        return clients[-1]
+
+    yield new
+    for client in clients:
+        client.close()
 
 
 @pytest.fixture
@@ -454,14 +683,14 @@ def no_proxy_env(monkeypatch):
 MESSAGES = [ChatMessage("user", "ciao")]
 
 
-def test_sequential_calls_share_one_connection(keepalive_server, no_proxy_env):
-    client = ChatClient(ClientConfig(endpoint=keepalive_server.url, model="m"))
+def test_sequential_calls_share_one_connection(keepalive_server, no_proxy_env, new_client):
+    client = new_client(endpoint=keepalive_server.url)
     assert [client.complete(MESSAGES) for _ in range(5)] == ["<ok>"] * 5
     assert keepalive_server.connections == 1
 
 
-def test_concurrent_calls_keep_one_connection_per_worker(keepalive_server, no_proxy_env):
-    client = ChatClient(ClientConfig(endpoint=keepalive_server.url, model="m", concurrency=3))
+def test_concurrent_calls_keep_one_connection_per_worker(keepalive_server, no_proxy_env, new_client):
+    client = new_client(endpoint=keepalive_server.url, concurrency=3)
     with ThreadPoolExecutor(max_workers=3) as pool:
         replies = list(pool.map(lambda _: client.complete(MESSAGES), range(30)))
     assert replies == ["<ok>"] * 30
@@ -470,10 +699,10 @@ def test_concurrent_calls_keep_one_connection_per_worker(keepalive_server, no_pr
 
 
 def test_server_closed_keepalive_is_not_a_failed_attempt(
-    keepalive_server, no_proxy_env, caplog
+    keepalive_server, no_proxy_env, new_client, caplog
 ):
     keepalive_server.drop = True
-    client = ChatClient(ClientConfig(endpoint=keepalive_server.url, model="m", max_retries=0))
+    client = new_client(endpoint=keepalive_server.url, max_retries=0)
     with caplog.at_level(logging.WARNING, logger="neogate.runner"):
         for _ in range(3):
             assert client.complete(MESSAGES) == "<ok>"
@@ -483,10 +712,10 @@ def test_server_closed_keepalive_is_not_a_failed_attempt(
     assert keepalive_server.connections == 3
 
 
-def test_http_proxy_gets_absolute_uri(keepalive_server, no_proxy_env):
+def test_http_proxy_gets_absolute_uri(keepalive_server, no_proxy_env, new_client):
     port = keepalive_server.server_address[1]
     no_proxy_env.setenv("http_proxy", f"http://user:pw@127.0.0.1:{port}")
-    client = ChatClient(ClientConfig(endpoint="http://neogate.invalid/v1/chat", model="m"))
+    client = new_client(endpoint="http://neogate.invalid/v1/chat")
     assert client.complete(MESSAGES) == "<ok>"
     [(path, headers)] = keepalive_server.requests
     assert path == "http://neogate.invalid/v1/chat"
@@ -494,12 +723,10 @@ def test_http_proxy_gets_absolute_uri(keepalive_server, no_proxy_env):
     assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
 
 
-def test_https_proxy_gets_connect(keepalive_server, no_proxy_env):
+def test_https_proxy_gets_connect(keepalive_server, no_proxy_env, new_client):
     port = keepalive_server.server_address[1]
     no_proxy_env.setenv("https_proxy", f"http://user:pw@127.0.0.1:{port}")
-    client = ChatClient(
-        ClientConfig(endpoint="https://neogate.invalid/v1/chat", model="m", max_retries=0)
-    )
+    client = new_client(endpoint="https://neogate.invalid/v1/chat", max_retries=0)
     with pytest.raises(NetworkError):  # the proxy refuses the tunnel
         client.complete(MESSAGES)
     [(path, headers)] = keepalive_server.requests
@@ -507,13 +734,13 @@ def test_https_proxy_gets_connect(keepalive_server, no_proxy_env):
     assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
 
 
-def test_no_proxy_host_goes_direct(keepalive_server, no_proxy_env):
+def test_no_proxy_host_goes_direct(keepalive_server, no_proxy_env, new_client):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         dead_port = probe.getsockname()[1]
     no_proxy_env.setenv("http_proxy", f"http://127.0.0.1:{dead_port}")
     no_proxy_env.setenv("no_proxy", "127.0.0.1")
-    client = ChatClient(ClientConfig(endpoint=keepalive_server.url, model="m", max_retries=0))
+    client = new_client(endpoint=keepalive_server.url, max_retries=0)
     assert client.complete(MESSAGES) == "<ok>"
     [(path, _)] = keepalive_server.requests
     assert path == "/v1/chat"
