@@ -1,83 +1,48 @@
 """Toolkit for neomorpheme-based gender-inclusive en->it translation
 benchmarks: corpus parsing, paradigm adaptation, prompt building, endpoint
-runs, and word-level scoring."""
+runs, and word-level scoring.
+
+Every name in ``__all__`` is imported from its module on first use
+(PEP 562), so ``import neogate`` loads no submodule.
+"""
 
 __version__ = "0.1.0"
 
-from .corpus import (
-    Anchor,
-    CorpusStats,
-    Entry,
-    Triplet,
-    ValidationIssue,
-    cohen_kappa,
-    corpus_stats,
-    load_corpus,
-    parse_annotation,
-    parse_corpus,
-    serialize_corpus,
-    validate_corpus,
-)
-from .errors import NeoGateError
-from .evaluator import (
-    EntryEval,
-    EvalCounts,
-    MetricReport,
-    Outcome,
-    aggregate,
-    compute_metrics,
-    count_neomorphemes,
-    evaluate_hypotheses,
-    match_entry,
-    metric_ratios,
-    tokenize,
-)
-from .paradigm import (
-    AdaptedEntry,
-    TagsetDefinition,
-    TagsetMapping,
-    adapt_corpus,
-    adapt_reference,
-    load_builtin_mapping,
-    load_builtin_tagset,
-    parse_mapping,
-)
-from .promptkit import (
-    ChatMessage,
-    Exemplar,
-    PromptFormat,
-    PromptSpec,
-    build_prompt,
-    extract_translation,
-    rank_exemplar_candidates,
-)
-from .runner import (
-    ClientConfig,
-    JsonlCache,
-    RunRecord,
-    export_hypotheses,
-    prompt_hash,
-    run_corpus,
-)
+_EXPORTS = {
+    "corpus": (
+        "Anchor", "CorpusStats", "Entry", "Triplet", "ValidationIssue", "cohen_kappa",
+        "corpus_stats", "load_corpus", "parse_annotation", "parse_corpus",
+        "serialize_corpus", "validate_corpus",
+    ),
+    "errors": ("NeoGateError",),
+    "evaluator": (
+        "EntryEval", "EvalCounts", "MetricReport", "Outcome", "aggregate",
+        "compute_metrics", "count_neomorphemes", "evaluate_hypotheses", "match_entry",
+        "metric_ratios", "tokenize",
+    ),
+    "paradigm": (
+        "AdaptedEntry", "TagsetDefinition", "TagsetMapping", "adapt_corpus",
+        "adapt_reference", "load_builtin_mapping", "load_builtin_tagset", "parse_mapping",
+    ),
+    "promptkit": (
+        "ChatMessage", "Exemplar", "PromptFormat", "PromptSpec", "build_prompt",
+        "extract_translation", "rank_exemplar_candidates",
+    ),
+    "runner": (
+        "ClientConfig", "JsonlCache", "RunRecord", "export_hypotheses", "prompt_hash",
+        "run_corpus",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    # corpus
-    "Anchor", "CorpusStats", "Entry", "Triplet", "ValidationIssue", "cohen_kappa",
-    "corpus_stats", "load_corpus", "parse_annotation", "parse_corpus",
-    "serialize_corpus", "validate_corpus",
-    # errors
-    "NeoGateError",
-    # evaluator
-    "EntryEval", "EvalCounts", "MetricReport", "Outcome", "aggregate",
-    "compute_metrics", "count_neomorphemes", "evaluate_hypotheses", "match_entry",
-    "metric_ratios", "tokenize",
-    # paradigm
-    "AdaptedEntry", "TagsetDefinition", "TagsetMapping", "adapt_corpus",
-    "adapt_reference", "load_builtin_mapping", "load_builtin_tagset", "parse_mapping",
-    # promptkit
-    "ChatMessage", "Exemplar", "PromptFormat", "PromptSpec", "build_prompt",
-    "extract_translation", "rank_exemplar_candidates",
-    # runner
-    "ClientConfig", "JsonlCache", "RunRecord", "export_hypotheses", "prompt_hash",
-    "run_corpus",
-]
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .corpus import (
@@ -24,14 +24,6 @@ from .corpus import (
     validate_corpus,
 )
 from .errors import NeoGateError
-from .evaluator import (
-    EvalCounts,
-    EntryEval,
-    MetricReport,
-    aggregate,
-    compute_metrics,
-    evaluate_hypotheses,
-)
 from .paradigm import (
     TagsetDefinition,
     TagsetMapping,
@@ -51,7 +43,11 @@ from .promptkit import (
     rank_exemplar_candidates,
     render_prompt_dump,
 )
-from .runner import ClientConfig, JsonlCache, export_hypotheses, lookup_prompts, run_corpus
+
+# each command imports the evaluator or the runner itself, so a call
+# loads only the modules its command uses
+if TYPE_CHECKING:
+    from .evaluator import EntryEval, EvalCounts, MetricReport
 
 ADAPTED_HEADER = ("ID", "SOURCE", "REF-M", "REF-F", "REF-ADAPTED", "ANNOTATION")
 
@@ -65,8 +61,7 @@ class UsageError(Exception):
     """A flag or config value the command cannot use; exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     """Everything needed to reproduce an evaluation or a run."""
 
     corpus: str = ""
@@ -82,7 +77,7 @@ class RunManifest:
     tool_version: str = __version__
 
     def to_kv(self) -> str:
-        lines = [f"{key}={value}" for key, value in self.__dict__.items()]
+        lines = [f"{key}={value}" for key, value in self._asdict().items()]
         return "\n".join(lines) + "\n"
 
 
@@ -100,13 +95,9 @@ def parse_kv(text: str) -> dict[str, str]:
 
 
 def metric_report_from_kv(values: dict[str, str]) -> MetricReport:
-    return MetricReport(
-        cov=float(values["cov"]),
-        acc=float(values["acc"]),
-        cwa=float(values["cwa"]),
-        mis=float(values["mis"]),
-        unparseable_rate=float(values["unparseable_rate"]),
-    )
+    from .evaluator import MetricReport
+
+    return MetricReport(*(float(values[key]) for key in MetricReport._fields))
 
 
 def render_report(report: MetricReport, fmt: str = "table", counts: EvalCounts | None = None) -> str:
@@ -280,6 +271,8 @@ def cmd_prompt(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .runner import ClientConfig, export_hypotheses, run_corpus
+
     _require(args, "corpus", "endpoint", "model", "out")
     tagset = load_builtin_tagset()
     corpus = load_corpus(args.corpus, tagset)
@@ -319,6 +312,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    from .runner import JsonlCache, hypothesis_line, lookup_prompts
+
     _require(args, "corpus", "cache", "model")
     tagset = load_builtin_tagset()
     corpus = load_corpus(args.corpus, tagset)
@@ -329,9 +324,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if missing:
         key, entry_id, _ = missing[0]
         raise NeoGateError(f"no cached record for entry {entry_id} (prompt hash {key})")
-    lines = [
-        (extract_translation(records[key].raw, spec) or "").replace("\n", " ") for key in hashes
-    ]
+    lines = [hypothesis_line(extract_translation(records[key].raw, spec)) for key in hashes]
     text = "\n".join(lines) + "\n"
     if args.out_file:
         Path(args.out_file).write_text(text, encoding="utf-8")
@@ -341,6 +334,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluator import aggregate, compute_metrics, evaluate_hypotheses
+
     _require(args, "corpus", "hyp")
     tagset = load_builtin_tagset()
     corpus = load_corpus(args.corpus, tagset)
@@ -348,7 +343,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     adapted = adapt_corpus(corpus, mapping)
     hypotheses = _read_lines(args.hyp)
     if len(hypotheses) < len(adapted):
-        hypotheses += [""] * (len(adapted) - len(hypotheses))
+        blanks = len(adapted) - len(hypotheses)
+        print(
+            f"warning: {args.hyp}: {len(hypotheses)} hypothesis lines for "
+            f"{len(adapted)} entries; padded with {blanks} blank lines",
+            file=sys.stderr,
+        )
+        hypotheses += [""] * blanks
     entry_evals = evaluate_hypotheses(adapted, hypotheses, mapping.markers)
     counts = aggregate(entry_evals)
     report = compute_metrics(counts)

@@ -9,7 +9,7 @@ The annotation column holds one triplet per gendered word:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NeoGateError
 from .paradigm import CONTENT, SINGULAR, TAG_RE, TagsetDefinition
@@ -49,16 +49,14 @@ class DegenerateAgreement(NeoGateError):
     """Chance agreement is 1 while the label lists differ."""
 
 
-@dataclass(frozen=True)
-class Anchor:
+class Anchor(NamedTuple):
     """Sub-word shared with the governing content word, and its token offset."""
 
     text: str
     distance: int
 
 
-@dataclass(frozen=True)
-class Triplet:
+class Triplet(NamedTuple):
     """The masculine, feminine and third form annotated for one word.
 
     The third form follows its reference: tagged (``direttor<ENDS>``) in a
@@ -74,8 +72,7 @@ class Triplet:
     anchor: Anchor | None = None
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(NamedTuple):
     """One benchmark item: source, three references, and its triplets."""
 
     entry_id: str
@@ -86,8 +83,7 @@ class Entry:
     triplets: tuple[Triplet, ...]
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     entries: int
     tags: int
     content: int
@@ -96,8 +92,7 @@ class CorpusStats:
     plural: int
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     entry_id: str
     severity: str  # "error" | "warning"
     message: str
@@ -240,19 +235,15 @@ def load_corpus(path, tagset: TagsetDefinition) -> list[Entry]:
         return parse_corpus(fh.read(), tagset)
 
 
-def _reference_words(text: str) -> set[str]:
-    """Case-folded token set of a reference, tokenized like hypotheses are."""
-    from .evaluator import tokenize
-
-    return {t.casefold() for t in tokenize(text)}
-
-
 def validate_corpus(corpus: list[Entry]) -> list[ValidationIssue]:
     """Check entry invariants and return the found issues.
 
     Errors: triplet/tag accounting mismatches and gendered forms missing
     from their references. Warnings: function triplets without anchors.
     """
+    from .evaluator import tokenizer
+
+    tokenize = tokenizer()  # references are tokenized like hypotheses are
     issues = []
     seen_ids: set[str] = set()
     for entry in corpus:
@@ -275,8 +266,8 @@ def validate_corpus(corpus: list[Entry]) -> list[ValidationIssue]:
                 )
             )
 
-        masc_words = _reference_words(entry.ref_masc)
-        fem_words = _reference_words(entry.ref_fem)
+        masc_words = {t.casefold() for t in tokenize(entry.ref_masc)}
+        fem_words = {t.casefold() for t in tokenize(entry.ref_fem)}
         for i, t in enumerate(entry.triplets):
             where = f"ANNOTATION[{i}]"
             if t.masc_form.casefold() not in masc_words:

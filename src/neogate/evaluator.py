@@ -13,9 +13,9 @@ function words, and derives the four corpus metrics:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import Triplet
 from .errors import NeoGateError
@@ -33,8 +33,7 @@ class Outcome(str, Enum):
     MATCHED_NEO = "matched_neo"
 
 
-@dataclass(frozen=True)
-class EntryEval:
+class EntryEval(NamedTuple):
     """Raw per-entry tallies plus the outcome of every triplet."""
 
     entry_id: str
@@ -47,15 +46,13 @@ class EntryEval:
     unparseable: bool = False
 
 
-@dataclass(frozen=True)
-class Breakdown:
+class Breakdown(NamedTuple):
     annotations: int = 0
     matched: int = 0
     correct: int = 0
 
 
-@dataclass(frozen=True)
-class EvalCounts:
+class EvalCounts(NamedTuple):
     """Corpus-level sums of the per-entry counters."""
 
     annotations: int
@@ -64,11 +61,10 @@ class EvalCounts:
     found: int
     entries: int = 0
     unparseable_entries: int = 0
-    breakdowns: dict[tuple[str, str], Breakdown] = field(default_factory=dict)
+    breakdowns: Mapping[tuple[str, str], Breakdown] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     """The four percentages, rounded half-up to 2 decimals."""
 
     cov: float
@@ -81,6 +77,37 @@ class MetricReport:
 _APOSTROPHE_SPLIT = re.compile(r"(?<=')")
 
 
+def tokenizer(markers: Iterable[str] = ()) -> Callable[[str], list[str]]:
+    """``tokenize`` with ``markers`` fixed. The returned function keeps the
+    tokens of every word it has split, so make one per pass over a corpus:
+    its words repeat, and the memo goes with the function."""
+    marker_set = frozenset(markers)
+    memo: dict[str, list[str]] = {}
+
+    def keep(ch: str) -> bool:
+        return ch.isalpha() or ch.isdigit() or ch == "'" or ch in marker_set
+
+    def tokenize_text(text: str) -> list[str]:
+        tokens: list[str] = []
+        for word in text.replace("’", "'").split():
+            pieces = memo.get(word)
+            if pieces is None:
+                pieces = memo[word] = []
+                for piece in _APOSTROPHE_SPLIT.split(word):
+                    start, end = 0, len(piece)
+                    while start < end and not keep(piece[start]):
+                        start += 1
+                    while end > start and not keep(piece[end - 1]):
+                        end -= 1
+                    surface = piece[start:end]
+                    if any(ch.isalpha() or ch.isdigit() or ch in marker_set for ch in surface):
+                        pieces.append(surface)
+            tokens += pieces
+        return tokens
+
+    return tokenize_text
+
+
 def tokenize(text: str, markers: Iterable[str] = ()) -> list[str]:
     """Split a hypothesis into word tokens.
 
@@ -91,23 +118,7 @@ def tokenize(text: str, markers: Iterable[str] = ()) -> list[str]:
     preserved; matching is case-insensitive downstream. Typographic
     apostrophes are normalized to the ASCII one.
     """
-    marker_set = frozenset(markers)
-
-    def keep(ch: str) -> bool:
-        return ch.isalpha() or ch.isdigit() or ch == "'" or ch in marker_set
-
-    tokens: list[str] = []
-    for word in text.replace("’", "'").split():
-        for piece in _APOSTROPHE_SPLIT.split(word):
-            start, end = 0, len(piece)
-            while start < end and not keep(piece[start]):
-                start += 1
-            while end > start and not keep(piece[end - 1]):
-                end -= 1
-            surface = piece[start:end]
-            if any(ch.isalpha() or ch.isdigit() or ch in marker_set for ch in surface):
-                tokens.append(surface)
-    return tokens
+    return tokenizer(markers)(text)
 
 
 def count_neomorphemes(tokens: Sequence[str], markers: Iterable[str]) -> int:
@@ -125,51 +136,45 @@ def match_entry(
 ) -> EntryEval:
     """Match each triplet against the hypothesis tokens.
 
-    Triplets are processed in annotation order. Each one scans the tokens
-    left to right for the first unconsumed token equal (case-insensitive)
-    to any of its three forms; a triplet with an anchor additionally
+    Triplets are processed in annotation order. Each one takes, left to
+    right, the first unconsumed token equal (case-insensitive) to any of
+    its three forms, visiting only the positions of those forms, which
+    are indexed once per entry; a triplet with an anchor additionally
     requires the token at the candidate's position plus the anchor
     distance to start with the anchor string. A matched token is consumed
     and cannot serve another triplet.
     """
     if unparseable:
-        return EntryEval(
-            entry_id=entry_id,
-            annotations=len(adapted_triplets),
-            matched=0,
-            correct=0,
-            found=0,
-            per_triplet=(Outcome.UNMATCHED,) * len(adapted_triplets),
-            triplet_classes=tuple((t.kind, t.number) for t in adapted_triplets),
-            unparseable=True,
-        )
+        tokens = ()  # nothing is matched or found
     surfaces = [t.casefold() for t in tokens]
+    positions: dict[str, list[int]] = {}  # each surface's positions, ascending
+    for pos, surface in enumerate(surfaces):
+        positions.setdefault(surface, []).append(pos)
     consumed: set[int] = set()
     outcomes: list[Outcome] = []
     matched = correct = 0
     for triplet in adapted_triplets:
-        forms = (
-            (triplet.tagged_form.casefold(), Outcome.MATCHED_NEO),
-            (triplet.masc_form.casefold(), Outcome.MATCHED_MASC),
-            (triplet.fem_form.casefold(), Outcome.MATCHED_FEM),
-        )
+        # a token equal to two of the forms matches the first of them
+        forms: dict[str, Outcome] = {}
+        forms.setdefault(triplet.tagged_form.casefold(), Outcome.MATCHED_NEO)
+        forms.setdefault(triplet.masc_form.casefold(), Outcome.MATCHED_MASC)
+        forms.setdefault(triplet.fem_form.casefold(), Outcome.MATCHED_FEM)
+        anchor = triplet.anchor
+        anchor_text = anchor.text.casefold() if anchor is not None else ""
         outcome = Outcome.UNMATCHED
-        for pos, surface in enumerate(surfaces):
+        for pos in sorted(p for form in forms for p in positions.get(form, ())):
             if pos in consumed:
                 continue
-            hit = next((o for form, o in forms if surface == form), None)
-            if hit is None:
-                continue
-            if triplet.anchor is not None:
-                anchor_pos = pos + triplet.anchor.distance
+            if anchor is not None:
+                anchor_pos = pos + anchor.distance
                 if anchor_pos >= len(surfaces) or not surfaces[anchor_pos].startswith(
-                    triplet.anchor.text.casefold()
+                    anchor_text
                 ):
                     continue
             consumed.add(pos)
-            outcome = hit
+            outcome = forms[surfaces[pos]]
             matched += 1
-            if hit is Outcome.MATCHED_NEO:
+            if outcome is Outcome.MATCHED_NEO:
                 correct += 1
             break
         outcomes.append(outcome)
@@ -182,6 +187,7 @@ def match_entry(
         found=found,
         per_triplet=tuple(outcomes),
         triplet_classes=tuple((t.kind, t.number) for t in adapted_triplets),
+        unparseable=unparseable,
     )
 
 
@@ -281,12 +287,13 @@ def evaluate_hypotheses(
             f"{len(hypotheses)} hypothesis lines for {len(adapted)} entries"
         )
     marker_set = frozenset(markers)
+    tokenize_text = tokenizer(marker_set)
     evals = []
     for entry, hyp in zip(adapted, hypotheses):
         blank = not hyp.strip()
         evals.append(
             match_entry(
-                tokenize(hyp, marker_set) if not blank else [],
+                tokenize_text(hyp) if not blank else [],
                 entry.triplets,
                 marker_set,
                 entry_id=entry.entry_id,

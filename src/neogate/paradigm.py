@@ -9,9 +9,8 @@ characters that identify neomorphemes in the singular and in the plural.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from importlib import resources
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NeoGateError
 
@@ -50,8 +49,7 @@ class IllegalMarker(NeoGateError):
     """A marker character belongs to the Italian alphabet."""
 
 
-@dataclass(frozen=True)
-class TagSpec:
+class TagSpec(NamedTuple):
     """One tag of the tagset: its name, grammatical class, number, and kind."""
 
     name: str
@@ -64,21 +62,40 @@ class TagSpec:
         return f"<{self.name}>"
 
 
-@dataclass(frozen=True)
 class TagsetDefinition:
-    """The full set of placeholder tags a corpus may use."""
+    """The full set of placeholder tags a corpus may use; immutable, and
+    equal to another with the same tags."""
 
-    tags: tuple[TagSpec, ...]
-    _by_name: dict[str, TagSpec] = field(init=False, repr=False, compare=False)
+    __slots__ = ("tags", "_by_name")
 
-    def __post_init__(self) -> None:
-        by_name = {t.name: t for t in self.tags}
-        if len(by_name) != len(self.tags):
+    def __init__(self, tags: tuple[TagSpec, ...]) -> None:
+        by_name = {t.name: t for t in tags}
+        if len(by_name) != len(tags):
             raise ValueError("duplicate tag names in tagset")
-        for tag in self.tags:
+        for tag in tags:
             if tag.kind == CONTENT and tag.name not in ("ENDS", "ENDP"):
                 raise ValueError(f"unexpected content-suffix tag {tag.name!r}")
+        object.__setattr__(self, "tags", tags)
         object.__setattr__(self, "_by_name", by_name)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not TagsetDefinition:
+            return NotImplemented
+        return self.tags == other.tags
+
+    def __hash__(self) -> int:
+        return hash(self.tags)
+
+    def __repr__(self) -> str:
+        return f"TagsetDefinition(tags={self.tags!r})"
+
+    def __reduce__(self):  # for pickle and copy, which would set the slots
+        return TagsetDefinition, (self.tags,)
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
@@ -93,8 +110,7 @@ class TagsetDefinition:
         return tuple(t.name for t in self.tags)
 
 
-@dataclass(frozen=True)
-class TagsetMapping:
+class TagsetMapping(NamedTuple):
     """A paradigm: one replacement string per tag plus the marker characters."""
 
     paradigm_name: str
@@ -116,8 +132,7 @@ class TagsetMapping:
             ) from None
 
 
-@dataclass(frozen=True)
-class AdaptedEntry:
+class AdaptedEntry(NamedTuple):
     """A corpus entry with reference and triplets adapted to a paradigm."""
 
     entry_id: str

@@ -9,8 +9,8 @@ assistant messages, one demonstration per exchange.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .corpus import Entry
 from .errors import NeoGateError
@@ -52,14 +52,12 @@ class EmptyCorpus(NeoGateError):
     """Exemplars cannot be ranked over an empty corpus."""
 
 
-@dataclass(frozen=True)
-class ChatMessage:
+class ChatMessage(NamedTuple):
     role: str  # "user" | "assistant"
     content: str
 
 
-@dataclass(frozen=True)
-class Exemplar:
+class Exemplar(NamedTuple):
     """One dev-set demonstration, pre-adapted to the active paradigm."""
 
     entry_id: str
@@ -69,14 +67,21 @@ class Exemplar:
     ref_adapted: str
 
 
-@dataclass(frozen=True)
-class PromptSpec:
+class _PromptSpecFields(NamedTuple):
     format: PromptFormat
     n_shots: int
     paradigm: TagsetMapping
     exemplar_ids: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class PromptSpec(_PromptSpecFields):
+    """A prompt format, its demonstration count and paradigm, and the dev
+    entry ids of its demonstrations; checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> PromptSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_shots not in ALLOWED_SHOTS:
             raise SpecMismatch(f"n_shots must be one of {ALLOWED_SHOTS}")
         if (self.n_shots == 0) != (self.format is PromptFormat.ZERO_SHOT):
@@ -85,6 +90,11 @@ class PromptSpec:
             raise SpecMismatch(
                 f"{len(self.exemplar_ids)} exemplar ids for {self.n_shots} shots"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> PromptSpec:  # ``_replace`` checks too
+        return cls(*iterable)
 
 
 def instruction_sentence(mapping: TagsetMapping) -> str:

@@ -589,6 +589,12 @@ def export_hypotheses(records: Sequence[RunRecord], corpus_order: Sequence[str])
         record = by_id.get(entry_id)
         if record is None:
             raise MissingEntry(f"no run record for entry {entry_id}")
-        text = record.translation if record.outcome == "ok" else None
-        lines.append((text or "").replace("\n", " "))
+        lines.append(hypothesis_line(record.translation if record.outcome == "ok" else None))
     return "\n".join(lines) + "\n"
+
+
+def hypothesis_line(translation: str | None) -> str:
+    """A translation as one hypothesis-file line: its lines joined by
+    spaces, so that no line break ``str.splitlines`` knows (``\\r``,
+    ``\\u2028``, ...) splits it when the file is read back; None is blank."""
+    return " ".join((translation or "").splitlines())

@@ -3,10 +3,13 @@ synthetic splits, and a scriptable local chat-completions endpoint."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
+import sys
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -24,12 +27,46 @@ LEAK_CHECKS = (
 )
 
 
+def _checked(item) -> bool:
+    return item.path.is_relative_to(Path(__file__).resolve().parent)
+
+
 def pytest_collection_modifyitems(items):
-    here = Path(__file__).resolve().parent
     for item in items:
-        if item.path.is_relative_to(here):
+        if _checked(item):
             for mark in LEAK_CHECKS:
                 item.add_marker(mark)
+    # what collection built lives to the end of the session; frozen, it
+    # keeps the collection after each item below cheap
+    gc.freeze()
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_teardown(item):
+    """Fail the teardown of an item that leaked a socket or file.
+
+    pytest drops an item's fixture values only after its teardown phase,
+    so an object leaked through one, or held in a reference cycle, would
+    be finalized outside every item, and after the last item it would
+    only warn. Drop them here and collect, under the error filter."""
+    result = yield
+    if _checked(item):
+        leaks = []
+        hook, sys.unraisablehook = sys.unraisablehook, leaks.append
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                item.funcargs.clear()
+                gc.collect()
+        finally:
+            sys.unraisablehook = hook
+        if leaks:
+            pytest.fail(
+                "leaked: " + "; ".join(f"{u.object!r}: {u.exc_value}" for u in leaks),
+                pytrace=False,
+            )
+    return result
+
 
 # The running example entry used across the module tests: a department
 # chair hiring professors, with a tagged reference and an anchor-less

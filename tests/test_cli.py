@@ -216,8 +216,12 @@ def test_evaluate_pads_missing_hypotheses(corpus_file, tmp_path, capsys):
         )
         == 0
     )
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     assert "unparseable_rate=100.00" in out
+    assert captured.err == (
+        f"warning: {hyp}: 0 hypothesis lines for 1 entries; padded with 1 blank lines\n"
+    )
 
 
 def test_report_rendering_and_kv_round_trip():
@@ -402,18 +406,24 @@ def test_full_split_golden_digests(paradigm, tmp_path, capsys):
     assert digest(out / "trace.tsv") == GOLDEN_SELF_TRACE_TSV
 
 
-def test_cli_imports_with_the_standard_library_only():
+def python_in_subprocess(check: str, *argv: str) -> str:
+    """Run ``check`` with ``argv`` in a fresh interpreter without site
+    packages, ``src`` on its path; return its standard output."""
     src = Path(__file__).resolve().parent.parent / "src"
-    check = "import sys, neogate.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
     result = subprocess.run(
-        [sys.executable, "-S", "-c", check],
+        [sys.executable, "-S", "-c", check, *argv],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_cli_imports_with_the_standard_library_only():
+    check = "import sys, neogate.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    assert python_in_subprocess(check) == "[]\n"
 
 
 def test_package_exports_names_not_modules():
@@ -424,26 +434,22 @@ def test_package_exports_names_not_modules():
     assert [n for n, v in exported.items() if isinstance(v, types.ModuleType)] == []
 
 
+def test_import_neogate_loads_no_submodule():
+    check = "import sys, neogate; print(sorted(m for m in sys.modules if m.startswith('neogate.')))"
+    assert python_in_subprocess(check) == "[]\n"
+
+
 NETWORK_MODULES = ("concurrent.futures", "http.client", "ssl", "urllib.request")
 
 
-def cli_in_subprocess(argv: list[str]) -> tuple[int, list[str]]:
+def cli_in_subprocess(argv: list[str], watched=NETWORK_MODULES) -> tuple[int, list[str]]:
     """Run ``neogate argv`` in a fresh interpreter; return its exit code and
-    the ``NETWORK_MODULES`` it loaded."""
-    src = Path(__file__).resolve().parent.parent / "src"
+    the ``watched`` modules it loaded."""
     check = (
         "import sys; from neogate.cli import dispatch; code = dispatch(sys.argv[1:]); "
-        f"print(code, *sorted(set({NETWORK_MODULES!r}) & set(sys.modules)))"
+        f"print(code, *sorted(set({tuple(watched)!r}) & set(sys.modules)))"
     )
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", check, *argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    code, *modules = result.stdout.splitlines()[-1].split()
+    code, *modules = python_in_subprocess(check, *argv).splitlines()[-1].split()
     return int(code), modules
 
 
@@ -462,3 +468,59 @@ def test_warm_run_and_evaluate_load_no_network_modules(corpus_file, tmp_path, ec
     extract = ["extract", f"--corpus={corpus_file}", "--model=m", f"--cache={out / 'cache.jsonl'}"]
     assert cli_in_subprocess(extract + [f"--out-file={extracted}"]) == (0, [])
     assert extracted.read_bytes() == (out / "hypotheses.txt").read_bytes()
+
+
+# what only ``run`` and ``extract`` need: the runner and its stdlib modules
+RUNNER_MODULES = ("neogate.runner", "dataclasses", "datetime", "hashlib", "json", "logging")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate", "--corpus={corpus}"],
+        ["stats", "--corpus={corpus}"],
+        ["adapt", "--corpus={corpus}", "--out-file={tmp}/adapted.tsv"],
+        ["kappa", "--corpus-a={corpus}", "--corpus-b={corpus}"],
+        ["evaluate", "--corpus={corpus}", "--hyp={tmp}/hyp.txt", "--out={tmp}/report"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_commands_without_a_network_load_no_runner(command, corpus_file, tmp_path):
+    (tmp_path / "hyp.txt").write_text(EXAMPLE_SOURCE + "\n", encoding="utf-8")
+    argv = [arg.format(corpus=corpus_file, tmp=tmp_path) for arg in command]
+    assert cli_in_subprocess(argv, RUNNER_MODULES) == (0, [])
+
+
+def test_warm_run_loads_no_evaluator(corpus_file, tmp_path, echo_server):
+    run = ["run", f"--corpus={corpus_file}", "--model=m", f"--out={tmp_path}",
+           f"--endpoint={echo_server.url}"]
+    watched = ("neogate.evaluator",)
+    assert cli_in_subprocess(run, watched) == (0, [])
+    assert cli_in_subprocess(run, watched) == (0, [])
+    assert echo_server.calls == 1
+
+
+class LineBreakClient(FakeClient):
+    """Replies with the source broken by a CR LF, then by a U+2028."""
+
+    def complete(self, messages) -> str:
+        source = re.search(r"\[English\] <(.*?)>", messages[-1].content, re.S).group(1)
+        return "<" + source.replace(" ", "\r\n", 1).replace(" ", "\u2028", 1) + ">"
+
+
+def test_replies_with_any_line_break_stay_on_their_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "ChatClient", LineBreakClient)
+    corpus = tmp_path / "corpus.tsv"
+    second = EXAMPLE_CORPUS_TEXT.splitlines()[1].replace("0001", "0002", 1)
+    second = second.replace(EXAMPLE_SOURCE, "They said it again")
+    corpus.write_text(EXAMPLE_CORPUS_TEXT + second + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [f"--corpus={corpus}", "--model=m"]
+    assert dispatch(["run", *argv, UNUSED_ENDPOINT, f"--out={out}"]) == 0
+    hyp = out / "hypotheses.txt"
+    assert hyp.read_text(encoding="utf-8") == f"{EXAMPLE_SOURCE}\nThey said it again\n"
+    extracted = tmp_path / "extracted.txt"
+    assert dispatch(["extract", *argv, f"--cache={out / 'cache.jsonl'}", f"--out-file={extracted}"]) == 0
+    assert extracted.read_bytes() == hyp.read_bytes()
+    assert dispatch(["evaluate", f"--corpus={corpus}", f"--hyp={hyp}", f"--out={tmp_path}"]) == 0
+    assert parse_kv((tmp_path / "report.kv").read_text(encoding="utf-8"))["entries"] == "2"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from neogate import (
     parse_annotation,
     tokenize,
 )
+from neogate.corpus import Anchor, Triplet
 from neogate.evaluator import (
     Breakdown,
     EntryEval,
@@ -26,8 +28,9 @@ from neogate.evaluator import (
     NoAnnotations,
     Outcome,
     round_half_up,
+    tokenizer,
 )
-from neogate.paradigm import adapt_triplets
+from neogate.paradigm import AdaptedEntry, adapt_triplets
 
 
 @pytest.fixture
@@ -356,3 +359,143 @@ def test_matcher_count_invariants(words):
     assert ev.correct <= ev.matched <= ev.annotations
     assert ev.correct <= ev.found
     assert (ev.found - ev.correct) >= 0
+
+
+# The tokenizer and matcher before words were memoized and surfaces
+# indexed, kept verbatim as the reference of the differential tests below.
+def old_tokenize(text: str, markers=()) -> list[str]:
+    marker_set = frozenset(markers)
+
+    def keep(ch: str) -> bool:
+        return ch.isalpha() or ch.isdigit() or ch == "'" or ch in marker_set
+
+    tokens: list[str] = []
+    for word in text.replace("’", "'").split():
+        for piece in re.split(r"(?<=')", word):
+            start, end = 0, len(piece)
+            while start < end and not keep(piece[start]):
+                start += 1
+            while end > start and not keep(piece[end - 1]):
+                end -= 1
+            surface = piece[start:end]
+            if any(ch.isalpha() or ch.isdigit() or ch in marker_set for ch in surface):
+                tokens.append(surface)
+    return tokens
+
+
+def old_match_entry(tokens, adapted_triplets, markers, entry_id="", unparseable=False):
+    if unparseable:
+        return EntryEval(
+            entry_id=entry_id,
+            annotations=len(adapted_triplets),
+            matched=0,
+            correct=0,
+            found=0,
+            per_triplet=(Outcome.UNMATCHED,) * len(adapted_triplets),
+            triplet_classes=tuple((t.kind, t.number) for t in adapted_triplets),
+            unparseable=True,
+        )
+    surfaces = [t.casefold() for t in tokens]
+    consumed: set[int] = set()
+    outcomes: list[Outcome] = []
+    matched = correct = 0
+    for triplet in adapted_triplets:
+        forms = (
+            (triplet.tagged_form.casefold(), Outcome.MATCHED_NEO),
+            (triplet.masc_form.casefold(), Outcome.MATCHED_MASC),
+            (triplet.fem_form.casefold(), Outcome.MATCHED_FEM),
+        )
+        outcome = Outcome.UNMATCHED
+        for pos, surface in enumerate(surfaces):
+            if pos in consumed:
+                continue
+            hit = next((o for form, o in forms if surface == form), None)
+            if hit is None:
+                continue
+            if triplet.anchor is not None:
+                anchor_pos = pos + triplet.anchor.distance
+                if anchor_pos >= len(surfaces) or not surfaces[anchor_pos].startswith(
+                    triplet.anchor.text.casefold()
+                ):
+                    continue
+            consumed.add(pos)
+            outcome = hit
+            matched += 1
+            if hit is Outcome.MATCHED_NEO:
+                correct += 1
+            break
+        outcomes.append(outcome)
+    found = count_neomorphemes(tokens, markers)
+    return EntryEval(
+        entry_id=entry_id,
+        annotations=len(adapted_triplets),
+        matched=matched,
+        correct=correct,
+        found=found,
+        per_triplet=tuple(outcomes),
+        triplet_classes=tuple((t.kind, t.number) for t in adapted_triplets),
+    )
+
+
+MARKERS = frozenset({"*", "ə"})
+# few forms, so that they repeat in a hypothesis and coincide in a triplet;
+# with elisions, case variants, markers and non-ASCII digits
+_FORMS = ["il", "la", "l*", "l'", "lə", "maestro", "maestra", "maestr*", "Maestrə", "٣", "x²"]
+_HYP_WORDS = _FORMS + ["L’", "MAESTRO", "dell'", "qui", "po'", "e", "٣a", "*", "…"]
+
+
+@st.composite
+def triplets(draw):
+    anchor = draw(
+        st.none() | st.builds(Anchor, st.sampled_from(["m", "MAESTR", "l", "٣"]), st.integers(1, 2))
+    )
+    masc, fem, tagged = (draw(st.sampled_from(_FORMS)) for _ in range(3))
+    kind, number = draw(st.sampled_from([("content", "singular"), ("function", "plural")]))
+    return Triplet(masc, fem, tagged, "T", kind, number, anchor)
+
+
+hypotheses = st.lists(
+    st.tuples(
+        st.sampled_from(["", "(", "«", '"', "-"]),
+        st.sampled_from(_HYP_WORDS),
+        st.sampled_from(["", ".", ",", "!", "»", "'", "’", "’s"]),
+        st.sampled_from([" ", " ", " ", "  ", "\t", "'", "’", ""]),
+    ).map("".join),
+    max_size=16,
+).map("".join)
+
+
+@given(st.text(max_size=200) | hypotheses)
+def test_tokenize_matches_the_old_tokenizer(text):
+    assert tokenize(text, MARKERS) == old_tokenize(text, MARKERS)
+
+
+def _triplet(masc, fem, tagged, anchor=None):
+    return Triplet(masc, fem, tagged, "T", "function", "singular", anchor)
+
+
+@given(st.lists(st.tuples(st.lists(triplets(), max_size=6), hypotheses | st.just("  ")), max_size=8))
+# the anchor on the last token, and forms equal to two fields
+@example([([_triplet("il", "la", "l*", Anchor("m", 1))], "la casa, il Maestro")])
+@example([([_triplet("la", "la", "l*"), _triplet("l*", "il", "l*")], "l* la il l*")])
+def test_evaluation_matches_the_old_tokenizer_and_matcher(entries):
+    adapted = [AdaptedEntry(f"e{i}", "", tuple(ts)) for i, (ts, _) in enumerate(entries)]
+    hyps = [hyp for _, hyp in entries]
+    expected = [
+        old_match_entry(
+            old_tokenize(hyp, MARKERS) if hyp.strip() else [],
+            entry.triplets,
+            MARKERS,
+            entry_id=entry.entry_id,
+            unparseable=not hyp.strip(),
+        )
+        for entry, hyp in zip(adapted, hyps)
+    ]
+    assert evaluate_hypotheses(adapted, hyps, MARKERS) == expected
+    tokenize_text = tokenizer(MARKERS)
+    assert [tokenize_text(hyp) for hyp in hyps] == [old_tokenize(hyp, MARKERS) for hyp in hyps]
+    for entry, hyp in zip(adapted, hyps):
+        tokens = old_tokenize(hyp, MARKERS)
+        assert match_entry(tokens, entry.triplets, MARKERS, entry.entry_id) == old_match_entry(
+            tokens, entry.triplets, MARKERS, entry.entry_id
+        )

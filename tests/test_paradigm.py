@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from neogate import adapt_corpus, adapt_reference, parse_corpus, parse_mapping
@@ -12,6 +15,8 @@ from neogate.paradigm import (
     MissingMarker,
     MissingTag,
     TAG_RE,
+    TagsetDefinition,
+    TagSpec,
     UnknownTag,
     adapt_triplets,
 )
@@ -42,6 +47,19 @@ def test_builtin_tagset_shape(tagset):
     assert tagset["PARTP"].number == "plural"
     numbers = {t.number for t in tagset.tags}
     assert numbers == {"singular", "plural"}
+
+
+def test_tagset_definition_checks_its_tags_and_is_immutable(tagset):
+    ends = TagSpec("ENDS", "suffix", "singular", CONTENT)
+    with pytest.raises(ValueError, match="duplicate tag names"):
+        TagsetDefinition((ends, ends))
+    with pytest.raises(ValueError, match="unexpected content-suffix tag 'ENDX'"):
+        TagsetDefinition((ends, ends._replace(name="ENDX")))
+    with pytest.raises(AttributeError):
+        tagset.tags = ()
+    assert TagsetDefinition(tagset.tags) == tagset
+    assert hash(TagsetDefinition(tagset.tags)) == hash(tagset)
+    assert pickle.loads(pickle.dumps(tagset)) == copy.copy(tagset) == tagset
 
 
 def test_builtin_mappings(asterisk, schwa):

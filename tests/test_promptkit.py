@@ -147,7 +147,12 @@ def test_spec_mismatch_errors(asterisk):
         PromptSpec(PromptFormat.DIRECT, 2, asterisk, ("x", "y"))
     with pytest.raises(SpecMismatch):
         PromptSpec(PromptFormat.DIRECT, 4, asterisk, ("x",))
+    with pytest.raises(SpecMismatch):
+        PromptSpec(format=PromptFormat.BINARY, n_shots=3, paradigm=asterisk)
     spec = spec_for(PromptFormat.DIRECT, asterisk)
+    with pytest.raises(SpecMismatch):
+        spec._replace(exemplar_ids=())
+    assert spec._replace(format=PromptFormat.TERNARY).format is PromptFormat.TERNARY
     with pytest.raises(SpecMismatch):
         build_prompt(TEST_SOURCE, spec, [])
 

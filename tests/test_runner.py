@@ -12,7 +12,6 @@ import socket
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -523,7 +522,7 @@ def test_concurrent_run_is_complete(echo_server, small_corpus, zero_spec, tmp_pa
 def test_duplicate_prompts_are_requested_once(echo_server, small_corpus, zero_spec, tmp_path):
     # e1, e2, e3, then the sources of e1, e2 and e1 again under new ids
     corpus = small_corpus + [
-        replace(small_corpus[i], entry_id=f"d{n}") for n, i in enumerate((0, 1, 0))
+        small_corpus[i]._replace(entry_id=f"d{n}") for n, i in enumerate((0, 1, 0))
     ]
     config = ClientConfig(endpoint=echo_server.url, model="echo", concurrency=4)
     records = run_corpus(corpus, zero_spec, config, tmp_path / "c.jsonl")
