@@ -18,7 +18,7 @@ _EXPORTS = {
     "evaluator": (
         "EntryEval", "EvalCounts", "MetricReport", "Outcome", "aggregate",
         "compute_metrics", "count_neomorphemes", "evaluate_hypotheses", "match_entry",
-        "metric_ratios", "tokenize",
+        "tokenize",
     ),
     "paradigm": (
         "AdaptedEntry", "TagsetDefinition", "TagsetMapping", "adapt_corpus",

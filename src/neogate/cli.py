@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .corpus import (
-    ValidationIssue,
+    Entry,
     aligned_tag_labels,
     cohen_kappa,
     corpus_stats,
@@ -94,51 +94,23 @@ def parse_kv(text: str) -> dict[str, str]:
     return values
 
 
-def metric_report_from_kv(values: dict[str, str]) -> MetricReport:
-    from .evaluator import MetricReport
-
-    return MetricReport(*(float(values[key]) for key in MetricReport._fields))
-
-
 def render_report(report: MetricReport, fmt: str = "table", counts: EvalCounts | None = None) -> str:
     """Render a metric report as a plain-text table or as key=value lines."""
+    rates = {key: f"{value:.2f}" for key, value in report._asdict().items()}
+    unparseable_rate = rates.pop("unparseable_rate")
+    count_keys = ["annotations", "matched", "correct", "found"]
     if fmt == "kv":
-        lines = [
-            f"cov={report.cov:.2f}",
-            f"acc={report.acc:.2f}",
-            f"cwa={report.cwa:.2f}",
-            f"mis={report.mis:.2f}",
-            f"unparseable_rate={report.unparseable_rate:.2f}",
-        ]
-        if counts is not None:
-            lines += [
-                f"annotations={counts.annotations}",
-                f"matched={counts.matched}",
-                f"correct={counts.correct}",
-                f"found={counts.found}",
-                f"entries={counts.entries}",
-                f"unparseable_entries={counts.unparseable_entries}",
-            ]
-            for (kind, number), b in counts.breakdowns.items():
-                prefix = f"{kind}.{number}"
-                lines.append(f"annotations.{prefix}={b.annotations}")
-                lines.append(f"matched.{prefix}={b.matched}")
-                lines.append(f"correct.{prefix}={b.correct}")
-        return "\n".join(lines) + "\n"
-
-    values = [f"{report.cov:.2f}", f"{report.acc:.2f}", f"{report.cwa:.2f}", f"{report.mis:.2f}"]
-    names = ("COV", "ACC", "CWA", "MIS")
-    header = "  ".join(name.ljust(len(value)) for name, value in zip(names, values))
-    lines = [header.rstrip(), "  ".join(values)]
-    lines.append("")
-    lines.append(f"unparseable_rate={report.unparseable_rate:.2f}")
+        lines = [f"{key}={value}" for key, value in rates.items()]
+        count_keys += ["entries", "unparseable_entries"]
+    else:
+        header = "  ".join(key.upper().ljust(len(value)) for key, value in rates.items())
+        lines = [header.rstrip(), "  ".join(rates.values()), ""]
+    lines.append(f"unparseable_rate={unparseable_rate}")
     if counts is not None:
-        lines += [
-            f"annotations={counts.annotations}",
-            f"matched={counts.matched}",
-            f"correct={counts.correct}",
-            f"found={counts.found}",
-        ]
+        lines += [f"{key}={getattr(counts, key)}" for key in count_keys]
+        if fmt == "kv":
+            for (kind, number), breakdown in counts.breakdowns.items():
+                lines += [f"{key}.{kind}.{number}={n}" for key, n in breakdown._asdict().items()]
     return "\n".join(lines) + "\n"
 
 
@@ -152,11 +124,39 @@ def render_trace(entry_evals: list[EntryEval]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_mapping(args: argparse.Namespace, tagset: TagsetDefinition) -> TagsetMapping:
-    if getattr(args, "mapping", None):
+def _load_inputs(
+    args: argparse.Namespace,
+) -> tuple[TagsetDefinition, list[Entry], TagsetMapping]:
+    """The builtin tagset, the ``--corpus`` entries, and the paradigm of
+    ``--mapping``, or else of ``--paradigm``."""
+    tagset = load_builtin_tagset()
+    corpus = load_corpus(args.corpus, tagset)
+    if args.mapping:
         with open(args.mapping, "rb") as fh:
-            return parse_mapping(fh.read(), tagset)
-    return load_builtin_mapping(args.paradigm, tagset)
+            return tagset, corpus, parse_mapping(fh.read(), tagset)
+    return tagset, corpus, load_builtin_mapping(args.paradigm, tagset)
+
+
+def _emit(path: str, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when no path is given."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
+def _write_manifest(args: argparse.Namespace, mapping: TagsetMapping, **fields: str) -> None:
+    """Write ``manifest.kv`` under ``--out``; ``fields`` are the ones besides
+    the inputs and the output directory."""
+    out_dir = Path(args.out)
+    manifest = RunManifest(
+        corpus=args.corpus,
+        paradigm=mapping.paradigm_name,
+        mapping_path=args.mapping,
+        out_dir=str(out_dir),
+        **fields,
+    )
+    (out_dir / MANIFEST_KV).write_text(manifest.to_kv(), encoding="utf-8")
 
 
 def _read_lines(path: str) -> list[str]:
@@ -185,11 +185,6 @@ def _build_spec(
     return spec, exemplars_from_corpus(dev, adapted, ids)
 
 
-def _print_issues(issues: list[ValidationIssue], stream) -> None:
-    for issue in issues:
-        print(issue.render(), file=stream)
-
-
 def _require(args: argparse.Namespace, *names: str) -> None:
     """Reject absent required values (flag or config) as a usage error."""
     missing = [name for name in names if not getattr(args, name.replace("-", "_"))]
@@ -207,24 +202,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return 1
     issues = validate_corpus(corpus)
     errors = [i for i in issues if i.severity == "error"]
-    _print_issues(issues, sys.stderr if errors else sys.stdout)
+    for issue in issues:
+        print(issue.render(), file=sys.stderr if errors else sys.stdout)
     return 1 if errors else 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     _require(args, "corpus")
-    corpus = load_corpus(args.corpus, load_builtin_tagset())
-    stats = corpus_stats(corpus)
-    for key in ("entries", "tags", "content", "function", "singular", "plural"):
-        print(f"{key}={getattr(stats, key)}")
+    stats = corpus_stats(load_corpus(args.corpus, load_builtin_tagset()))
+    for key, value in stats._asdict().items():
+        print(f"{key}={value}")
     return 0
 
 
 def cmd_adapt(args: argparse.Namespace) -> int:
     _require(args, "corpus")
-    tagset = load_builtin_tagset()
-    corpus = load_corpus(args.corpus, tagset)
-    mapping = _load_mapping(args, tagset)
+    _, corpus, mapping = _load_inputs(args)
     adapted = adapt_corpus(corpus, mapping)
     lines = ["\t".join(ADAPTED_HEADER)]
     for entry, a in zip(corpus, adapted):
@@ -240,19 +233,13 @@ def cmd_adapt(args: argparse.Namespace) -> int:
                 )
             )
         )
-    text = "\n".join(lines) + "\n"
-    if args.out_file:
-        Path(args.out_file).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out_file, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_prompt(args: argparse.Namespace) -> int:
     _require(args, "corpus")
-    tagset = load_builtin_tagset()
-    corpus = load_corpus(args.corpus, tagset)
-    mapping = _load_mapping(args, tagset)
+    tagset, corpus, mapping = _load_inputs(args)
     spec, exemplars = _build_spec(args, mapping, tagset)
     if args.entry:
         corpus = [e for e in corpus if e.entry_id == args.entry]
@@ -262,11 +249,7 @@ def cmd_prompt(args: argparse.Namespace) -> int:
         render_prompt_dump(e.entry_id, build_prompt(e.source, spec, exemplars))
         for e in corpus
     ]
-    text = "\n".join(chunks)
-    if args.out_file:
-        Path(args.out_file).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out_file, "\n".join(chunks))
     return 0
 
 
@@ -274,9 +257,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     from .runner import ClientConfig, export_hypotheses, run_corpus
 
     _require(args, "corpus", "endpoint", "model", "out")
-    tagset = load_builtin_tagset()
-    corpus = load_corpus(args.corpus, tagset)
-    mapping = _load_mapping(args, tagset)
+    if args.retries < 0:
+        raise UsageError(f"--retries must be 0 or more, not {args.retries}")
+    if not 0 < args.timeout < float("inf"):
+        raise UsageError(f"--timeout must be positive and finite, not {args.timeout}")
+    tagset, corpus, mapping = _load_inputs(args)
     spec, exemplars = _build_spec(args, mapping, tagset)
     config = ClientConfig(
         endpoint=args.endpoint,
@@ -293,19 +278,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     records = run_corpus(corpus, spec, config, cache_path, exemplars)
     hyp = export_hypotheses(records, [e.entry_id for e in corpus])
     (out_dir / "hypotheses.txt").write_text(hyp, encoding="utf-8")
-    manifest = RunManifest(
-        corpus=str(args.corpus),
-        paradigm=mapping.paradigm_name,
-        mapping_path=args.mapping or "",
+    _write_manifest(
+        args,
+        mapping,
         prompt_format=spec.format.value,
         n_shots=str(spec.n_shots),
         exemplar_ids=",".join(spec.exemplar_ids),
         endpoint=config.endpoint,
         model=config.model,
         temperature=str(config.temperature),
-        out_dir=str(out_dir),
     )
-    (out_dir / MANIFEST_KV).write_text(manifest.to_kv(), encoding="utf-8")
     failed = sum(r.outcome == "failed" for r in records)
     print(f"records={len(records)} failed={failed} cache={cache_path}")
     return 0
@@ -315,9 +297,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     from .runner import JsonlCache, hypothesis_line, lookup_prompts
 
     _require(args, "corpus", "cache", "model")
-    tagset = load_builtin_tagset()
-    corpus = load_corpus(args.corpus, tagset)
-    spec, exemplars = _build_spec(args, _load_mapping(args, tagset), tagset)
+    tagset, corpus, mapping = _load_inputs(args)
+    spec, exemplars = _build_spec(args, mapping, tagset)
     hashes, records, missing = lookup_prompts(
         corpus, spec, exemplars, args.model, args.temperature, JsonlCache(args.cache)
     )
@@ -325,11 +306,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         key, entry_id, _ = missing[0]
         raise NeoGateError(f"no cached record for entry {entry_id} (prompt hash {key})")
     lines = [hypothesis_line(extract_translation(records[key].raw, spec)) for key in hashes]
-    text = "\n".join(lines) + "\n"
-    if args.out_file:
-        Path(args.out_file).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out_file, "\n".join(lines) + "\n")
     return 0
 
 
@@ -337,9 +314,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from .evaluator import aggregate, compute_metrics, evaluate_hypotheses
 
     _require(args, "corpus", "hyp")
-    tagset = load_builtin_tagset()
-    corpus = load_corpus(args.corpus, tagset)
-    mapping = _load_mapping(args, tagset)
+    _, corpus, mapping = _load_inputs(args)
     adapted = adapt_corpus(corpus, mapping)
     hypotheses = _read_lines(args.hyp)
     if len(hypotheses) < len(adapted):
@@ -361,13 +336,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         (out_dir / REPORT_TXT).write_text(table, encoding="utf-8")
         (out_dir / REPORT_KV).write_text(render_report(report, "kv", counts), encoding="utf-8")
         (out_dir / TRACE_TSV).write_text(render_trace(entry_evals), encoding="utf-8")
-        manifest = RunManifest(
-            corpus=str(args.corpus),
-            paradigm=mapping.paradigm_name,
-            mapping_path=args.mapping or "",
-            out_dir=str(out_dir),
-        )
-        (out_dir / MANIFEST_KV).write_text(manifest.to_kv(), encoding="utf-8")
+        _write_manifest(args, mapping)
     return 0
 
 
@@ -387,7 +356,9 @@ def cmd_kappa(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_paradigm_flags(parser: argparse.ArgumentParser) -> None:
+def _add_input_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``_load_inputs`` reads."""
+    parser.add_argument("--corpus", default="")
     parser.add_argument("--paradigm", default="asterisk", help="built-in paradigm name")
     parser.add_argument("--mapping", default="", help="path to a mapping file (overrides --paradigm)")
 
@@ -433,20 +404,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default="")
 
     p = command("adapt", cmd_adapt, "adapt a corpus to a paradigm")
-    p.add_argument("--corpus", default="")
-    _add_paradigm_flags(p)
+    _add_input_flags(p)
     p.add_argument("--out-file", default="", help="write TSV here instead of stdout")
 
     p = command("prompt", cmd_prompt, "dump the prompts for a corpus")
-    p.add_argument("--corpus", default="")
-    _add_paradigm_flags(p)
+    _add_input_flags(p)
     _add_spec_flags(p)
     p.add_argument("--entry", default="", help="only this entry id")
     p.add_argument("--out-file", default="")
 
     p = command("run", cmd_run, "query an endpoint for every entry")
-    p.add_argument("--corpus", default="")
-    _add_paradigm_flags(p)
+    _add_input_flags(p)
     _add_spec_flags(p)
     p.add_argument("--endpoint", default="")
     p.add_argument("--model", default="")
@@ -459,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="", help="output directory")
 
     p = command("extract", cmd_extract, "re-extract hypotheses from a run cache")
-    p.add_argument("--corpus", default="")
-    _add_paradigm_flags(p)
+    _add_input_flags(p)
     _add_spec_flags(p)
     p.add_argument("--model", default="")
     p.add_argument("--temperature", type=float, default=0.0)
@@ -468,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-file", default="")
 
     p = command("evaluate", cmd_evaluate, "score a hypothesis file")
-    p.add_argument("--corpus", default="")
-    _add_paradigm_flags(p)
+    _add_input_flags(p)
     p.add_argument("--hyp", default="", help="hypothesis file, one line per entry")
     p.add_argument("--out", default="", help="directory for report/trace/manifest files")
 
@@ -533,7 +499,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NeoGateError, OSError) as exc:
+    except (NeoGateError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -235,26 +235,13 @@ def round_half_up(value: float, denominator: int = 1, places: int = 2) -> float:
     return quotient / unit if numerator >= 0 else -(quotient / unit)
 
 
-def metric_ratios(counts: EvalCounts) -> tuple[float, float, float, float]:
-    """Unrounded (COV, ACC, CWA, MIS) percentages.
-
-    CWA is computed as COV * ACC / 100, so the identity holds exactly
-    before rounding. ACC and CWA are 0 by convention when nothing matched.
-    """
-    if counts.annotations == 0:
-        raise NoAnnotations("cannot compute metrics over zero annotations")
-    cov = counts.matched / counts.annotations * 100.0
-    acc = counts.correct / counts.matched * 100.0 if counts.matched else 0.0
-    cwa = cov * acc / 100.0
-    mis = (counts.found - counts.correct) / counts.annotations * 100.0
-    return cov, acc, cwa, mis
-
-
 def compute_metrics(counts: EvalCounts) -> MetricReport:
     """Derive the rounded metric report from raw counts.
 
     Each percentage is rounded from the integer counts, so a tie at the
-    third decimal rounds up however the float ratio would land.
+    third decimal rounds up however the float ratio would land. CWA is
+    rounded from correct / annotations, which equals COV * ACC / 100
+    exactly; ACC and CWA are 0 by convention when nothing matched.
     """
     annotations, matched, correct = counts.annotations, counts.matched, counts.correct
     if annotations == 0:

@@ -106,9 +106,6 @@ class TagsetDefinition:
         except KeyError:
             raise UnknownTag(f"tag <{name}> is not in the tagset") from None
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.tags)
-
 
 class TagsetMapping(NamedTuple):
     """A paradigm: one replacement string per tag plus the marker characters."""
@@ -259,20 +256,7 @@ def adapt_reference(ref_tagged: str, mapping: TagsetMapping) -> str:
 
 def adapt_triplets(triplets, mapping: TagsetMapping) -> tuple[Triplet, ...]:
     """Copy each triplet with its tagged form realized in the paradigm."""
-    from .corpus import Triplet  # corpus imports this module
-
-    return tuple(
-        Triplet(
-            t.masc_form,
-            t.fem_form,
-            replace_tags(t.tagged_form, mapping),
-            t.tag,
-            t.kind,
-            t.number,
-            t.anchor,
-        )
-        for t in triplets
-    )
+    return tuple(t._replace(tagged_form=replace_tags(t.tagged_form, mapping)) for t in triplets)
 
 
 def adapt_entry(entry, mapping: TagsetMapping) -> AdaptedEntry:

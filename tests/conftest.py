@@ -10,6 +10,7 @@ import re
 import sys
 import threading
 import warnings
+from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -122,6 +123,13 @@ def example_corpus(tagset):
     from neogate import parse_corpus
 
     return parse_corpus(EXAMPLE_CORPUS_TEXT, tagset)
+
+
+def exact_cwa(counts) -> Fraction:
+    """COV * ACC / 100 in exact arithmetic; ACC is 0 when nothing matched."""
+    cov = Fraction(100 * counts.matched, counts.annotations)
+    acc = Fraction(100 * counts.correct, counts.matched) if counts.matched else 0
+    return cov * acc / 100
 
 
 def split_path(name: str) -> Path:

@@ -23,7 +23,6 @@ from neogate import (
     evaluate_hypotheses,
     extract_translation,
     load_corpus,
-    metric_ratios,
     parse_corpus,
     parse_mapping,
 )
@@ -34,7 +33,7 @@ from neogate.paradigm import adapt_triplets
 from neogate.promptkit import Exemplar, PromptFormat, PromptSpec
 from neogate.runner import ClientConfig, export_hypotheses, run_corpus
 
-from .conftest import EXAMPLE_CORPUS_TEXT, split_path
+from .conftest import EXAMPLE_CORPUS_TEXT, exact_cwa, split_path
 
 
 @contextmanager
@@ -136,9 +135,10 @@ def test_criterion_05_metric_identity():
             counts = EvalCounts(
                 annotations=annotations, matched=matched, correct=correct, found=found
             )
-            cov, acc, cwa, mis = metric_ratios(counts)
-            assert cwa == cov * acc / 100.0
-            assert mis >= 0.0
+            report = compute_metrics(counts)
+            exact = exact_cwa(counts)
+            assert report.cwa == round_half_up(exact.numerator, exact.denominator)
+            assert report.mis >= 0.0
         assert round_half_up(57.08 * 74.63 / 100.0) == 42.60
 
 

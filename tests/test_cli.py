@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -13,13 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from neogate import build_prompt, load_builtin_tagset, prompt_hash, runner
+from neogate import __version__, build_prompt, prompt_hash, runner
 from neogate.cli import (
     _build_spec,
-    _load_mapping,
+    _load_inputs,
     build_parser,
     dispatch,
-    metric_report_from_kv,
     parse_kv,
     render_report,
 )
@@ -36,6 +37,28 @@ GOLDEN_ADAPT = {
 }
 GOLDEN_SELF_REPORT_KV = "b9c7205ee1f9a36e9ffbb05c82e7135e821b49f4acc1c2af958954192dac0272"
 GOLDEN_SELF_TRACE_TSV = "2420c841d31694347082395e830ffb9ca4d0ac73de966b195f54ea79b69f7236"
+# and of the rest of that evaluation's output, of `neogate stats` on the
+# split, of its ternary 8-shot prompt dump, and of a ternary 8-shot `run`
+GOLDEN_SELF_REPORT_TXT = (
+    "COV     ACC     CWA     MIS\n100.00  100.00  100.00  0.00\n\nunparseable_rate=0.00\n"
+    "annotations=2479\nmatched=2479\ncorrect=2479\nfound=2479\n"
+)
+GOLDEN_EVALUATE_MANIFEST = (
+    "corpus=<data>/synthetic-test.tsv\nparadigm={0}\nmapping_path=\nprompt_format=\n"
+    "n_shots=\nexemplar_ids=\nendpoint=\nmodel=\ntemperature=\nout_dir=<tmp>/report\n"
+    "tool_version={1}\n"
+)
+GOLDEN_STATS = "entries=841\ntags=2479\ncontent=1539\nfunction=940\nsingular=1316\nplural=1163\n"
+GOLDEN_TERNARY_8_PROMPTS = {
+    "asterisk": "6a0dff77969f085c1725b2c429f6f3df27358e69a8132906f57d9460c648f005",
+    "schwa": "9dbb9b8e5a32418ea2a19206bf1bd0f2fa751ac45973dd485661250e55750802",
+}
+GOLDEN_RUN_MANIFEST = (
+    "corpus=<data>/synthetic-test.tsv\nparadigm={0}\nmapping_path=<tmp>/paradigm.map\n"
+    "prompt_format=ternary\nn_shots=8\nexemplar_ids=0015,0021,0023,0024,0027,0028,0030,0032\n"
+    "endpoint=http://127.0.0.1:9/v1\nmodel=m\ntemperature=0.0\nout_dir=<tmp>/run\n"
+    "tool_version={1}\n"
+)
 
 
 @pytest.fixture
@@ -82,6 +105,24 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert dispatch(["--config", missing, "stats", "--corpus", "x"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nonexistent.conf" in err
+
+
+@pytest.mark.parametrize("flag", ["hyp", "mapping", "config", "labels-a", "labels-b"])
+def test_non_utf8_input_file_exits_1(flag, corpus_file, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"caf\xe9\n")
+    labels = tmp_path / "labels.txt"
+    labels.write_text("A\n", encoding="utf-8")
+    argv = {
+        "hyp": ["evaluate", f"--corpus={corpus_file}", f"--hyp={latin1}"],
+        "mapping": ["adapt", f"--corpus={corpus_file}", f"--mapping={latin1}"],
+        "config": [f"--config={latin1}", "stats", f"--corpus={corpus_file}"],
+        "labels-a": ["kappa", f"--labels-a={latin1}", f"--labels-b={labels}"],
+        "labels-b": ["kappa", f"--labels-a={labels}", f"--labels-b={latin1}"],
+    }[flag]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_stats_output(capsys):
@@ -233,7 +274,7 @@ def test_report_rendering_and_kv_round_trip():
     counts = EvalCounts(annotations=10, matched=5, correct=3, found=4)
     kv_text = render_report(report, "kv", counts)
     values = parse_kv(kv_text)
-    assert metric_report_from_kv(values) == report
+    assert MetricReport(*(float(values[key]) for key in MetricReport._fields)) == report
     assert values["matched"] == "5"
 
 
@@ -263,8 +304,8 @@ def test_kappa_requires_inputs(capsys):
 def prompt_key(argv: list[str], source: str) -> str:
     """The prompt hash that ``neogate argv`` looks ``source`` up under."""
     args = build_parser().parse_args(argv)
-    tagset = load_builtin_tagset()
-    spec, exemplars = _build_spec(args, _load_mapping(args, tagset), tagset)
+    tagset, _, mapping = _load_inputs(args)
+    spec, exemplars = _build_spec(args, mapping, tagset)
     return prompt_hash(build_prompt(source, spec, exemplars), args.model, args.temperature)
 
 
@@ -369,6 +410,25 @@ def test_config_bad_value_is_usage_error(corpus_file, tmp_path, capsys):
         assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "setting", ["retries=-1", "timeout=-1", "timeout=0", "timeout=inf", "timeout=nan"]
+)
+def test_run_rejects_out_of_range_retries_and_timeout(setting, source, corpus_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["run", f"--corpus={corpus_file}", "--model=m", UNUSED_ENDPOINT, f"--out={out}"]
+    if source == "flag":
+        argv.append(f"--{setting}")
+    else:
+        config = tmp_path / "run.conf"
+        config.write_text(setting + "\n", encoding="utf-8")
+        argv.insert(0, f"--config={config}")
+    assert dispatch(argv) == 2
+    flag = "--" + setting.partition("=")[0]
+    assert capsys.readouterr().err.startswith(f"usage error: {flag} ")
+    assert not out.exists()  # nothing was written and no request was sent
+
+
 def test_config_unknown_key_is_usage_error(corpus_file, tmp_path, capsys):
     config = tmp_path / "typo.conf"
     config.write_text("modle=x\n", encoding="utf-8")
@@ -383,7 +443,7 @@ def test_config_keys_of_other_subcommands_allowed(corpus_file, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("paradigm", sorted(GOLDEN_ADAPT))
-def test_full_split_golden_digests(paradigm, tmp_path, capsys):
+def test_full_split_golden_digests(paradigm, tmp_path, capsys, monkeypatch):
     corpus = str(DATA_DIR / "synthetic-test.tsv")
     adapted = tmp_path / "adapted.tsv"
     assert dispatch(
@@ -397,13 +457,39 @@ def test_full_split_golden_digests(paradigm, tmp_path, capsys):
         ["evaluate", "--corpus", corpus, "--paradigm", paradigm, "--hyp", str(hyp),
          "--out", str(out)]
     ) == 0
+    table = capsys.readouterr().out
+    assert dispatch(["stats", "--corpus", corpus]) == 0
+    assert capsys.readouterr().out == GOLDEN_STATS
+    ternary = ["--format=ternary", "--shots=8", f"--dev-corpus={DATA_DIR / 'synthetic-dev.tsv'}"]
+    prompts = tmp_path / "prompts.txt"
+    assert dispatch(
+        ["prompt", f"--corpus={corpus}", f"--paradigm={paradigm}", *ternary,
+         f"--out-file={prompts}"]
+    ) == 0
+    # the same paradigm through --mapping, so the manifest names its file
+    mapping = tmp_path / "paradigm.map"
+    mapping.write_bytes((DATA_DIR.parent / "src/neogate/data" / f"{paradigm}.map").read_bytes())
+    monkeypatch.setattr(runner, "ChatClient", FakeClient)
+    assert dispatch(
+        ["run", f"--corpus={corpus}", f"--mapping={mapping}", *ternary, "--model=m",
+         UNUSED_ENDPOINT, f"--out={tmp_path / 'run'}"]
+    ) == 0
+    capsys.readouterr()
 
     def digest(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
+    def manifest(path):
+        text = path.read_text(encoding="utf-8")
+        return text.replace(str(tmp_path), "<tmp>").replace(str(DATA_DIR), "<data>")
+
     assert digest(adapted) == GOLDEN_ADAPT[paradigm]
     assert digest(out / "report.kv") == GOLDEN_SELF_REPORT_KV
     assert digest(out / "trace.tsv") == GOLDEN_SELF_TRACE_TSV
+    assert (out / "report.txt").read_text(encoding="utf-8") == table == GOLDEN_SELF_REPORT_TXT
+    assert manifest(out / "manifest.kv") == GOLDEN_EVALUATE_MANIFEST.format(paradigm, __version__)
+    assert digest(prompts) == GOLDEN_TERNARY_8_PROMPTS[paradigm]
+    assert manifest(tmp_path / "run/manifest.kv") == GOLDEN_RUN_MANIFEST.format(paradigm, __version__)
 
 
 def python_in_subprocess(check: str, *argv: str) -> str:
@@ -424,6 +510,29 @@ def python_in_subprocess(check: str, *argv: str) -> str:
 def test_cli_imports_with_the_standard_library_only():
     check = "import sys, neogate.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
     assert python_in_subprocess(check) == "[]\n"
+
+
+def test_perfbench_imports_from_neogate_resolve():
+    """The benchmark under ``perfbench/`` imports names from ``neogate`` but
+    runs outside this suite; each of those names must still exist."""
+    imported = []
+    for path in sorted((DATA_DIR.parent / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "neogate":
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [
+                    (path.name, alias.name, None)
+                    for alias in node.names
+                    if alias.name.split(".")[0] == "neogate"
+                ]
+    assert {module for _, module, _ in imported} >= {"neogate", "neogate.cli"}
+    unresolved = []
+    for file, module, name in imported:
+        found = importlib.import_module(module)
+        if name is not None and not hasattr(found, name):
+            unresolved.append(f"{file}: {module}.{name}")
+    assert unresolved == []
 
 
 def test_package_exports_names_not_modules():

@@ -16,7 +16,6 @@ from neogate import (
     count_neomorphemes,
     evaluate_hypotheses,
     match_entry,
-    metric_ratios,
     parse_annotation,
     tokenize,
 )
@@ -31,6 +30,8 @@ from neogate.evaluator import (
     tokenizer,
 )
 from neogate.paradigm import AdaptedEntry, adapt_triplets
+
+from .conftest import exact_cwa
 
 
 @pytest.fixture
@@ -330,9 +331,10 @@ counts_strategy = st.tuples(
 
 @given(counts_strategy)
 def test_cwa_identity_before_rounding(counts):
-    cov, acc, cwa, mis = metric_ratios(counts)
-    assert cwa == cov * acc / 100.0
-    assert mis >= 0.0
+    report = compute_metrics(counts)
+    exact = exact_cwa(counts)
+    assert report.cwa == round_half_up(exact.numerator, exact.denominator)
+    assert report.mis >= 0.0
 
 
 @given(st.text(max_size=200))
