@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import __version__
 from .corpus import (
     Entry,
+    _read_text,
     aligned_tag_labels,
     cohen_kappa,
     corpus_stats,
@@ -132,8 +133,7 @@ def _load_inputs(
     tagset = load_builtin_tagset()
     corpus = load_corpus(args.corpus, tagset)
     if args.mapping:
-        with open(args.mapping, "rb") as fh:
-            return tagset, corpus, parse_mapping(fh.read(), tagset)
+        return tagset, corpus, parse_mapping(_read_text(args.mapping), tagset)
     return tagset, corpus, load_builtin_mapping(args.paradigm, tagset)
 
 
@@ -157,11 +157,6 @@ def _write_manifest(args: argparse.Namespace, mapping: TagsetMapping, **fields: 
         **fields,
     )
     (out_dir / MANIFEST_KV).write_text(manifest.to_kv(), encoding="utf-8")
-
-
-def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
 
 
 def _build_spec(
@@ -261,6 +256,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise UsageError(f"--retries must be 0 or more, not {args.retries}")
     if not 0 < args.timeout < float("inf"):
         raise UsageError(f"--timeout must be positive and finite, not {args.timeout}")
+    if args.concurrency < 1:
+        raise UsageError(f"--concurrency must be 1 or more, not {args.concurrency}")
+    if not 0 <= args.rate_limit < float("inf"):
+        raise UsageError(f"--rate-limit must be 0 or more and finite, not {args.rate_limit}")
     tagset, corpus, mapping = _load_inputs(args)
     spec, exemplars = _build_spec(args, mapping, tagset)
     config = ClientConfig(
@@ -316,7 +315,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _require(args, "corpus", "hyp")
     _, corpus, mapping = _load_inputs(args)
     adapted = adapt_corpus(corpus, mapping)
-    hypotheses = _read_lines(args.hyp)
+    hypotheses = _read_text(args.hyp).splitlines()
     if len(hypotheses) < len(adapted):
         blanks = len(adapted) - len(hypotheses)
         print(
@@ -342,8 +341,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_kappa(args: argparse.Namespace) -> int:
     if args.labels_a and args.labels_b:
-        labels_a = _read_lines(args.labels_a)
-        labels_b = _read_lines(args.labels_b)
+        labels_a = _read_text(args.labels_a).splitlines()
+        labels_b = _read_text(args.labels_b).splitlines()
     elif args.corpus_a and args.corpus_b:
         tagset = load_builtin_tagset()
         labels_a, labels_b = aligned_tag_labels(
@@ -459,7 +458,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
         return
     values = {
         key.replace("-", "_"): value
-        for key, value in parse_kv(Path(path).read_text(encoding="utf-8")).items()
+        for key, value in parse_kv(_read_text(path)).items()
     }
     # a key may belong to any subcommand, so one file serves run and evaluate
     flags = {
@@ -499,7 +498,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NeoGateError, OSError, UnicodeDecodeError) as exc:
+    except (NeoGateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,44 +9,13 @@ The annotation column holds one triplet per gendered word:
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import NamedTuple
 
 from .errors import NeoGateError
 from .paradigm import CONTENT, SINGULAR, TAG_RE, TagsetDefinition
 
 HEADER = ("ID", "SOURCE", "REF-M", "REF-F", "REF-TAGGED", "ANNOTATION")
-
-
-class MalformedRow(NeoGateError):
-    """A data row does not have the expected number of columns."""
-
-
-class EmptyAnnotation(NeoGateError):
-    """An entry has no annotated triplets."""
-
-
-class MalformedTriplet(NeoGateError):
-    """A triplet does not consist of exactly three forms."""
-
-
-class BadAnchor(NeoGateError):
-    """An anchor has a non-numeric distance or sits on a content triplet."""
-
-
-class EncodingError(NeoGateError):
-    """The input is not valid UTF-8."""
-
-
-class LengthMismatch(NeoGateError):
-    """Label lists have different lengths."""
-
-
-class EmptyInput(NeoGateError):
-    """Label lists are empty."""
-
-
-class DegenerateAgreement(NeoGateError):
-    """Chance agreement is 1 while the label lists differ."""
 
 
 class Anchor(NamedTuple):
@@ -115,35 +84,27 @@ def parse_annotation(ann: str, tagset: TagsetDefinition) -> list[Triplet]:
             anchor_part = parts.pop()
             text, sep, dist = anchor_part.rpartition("=")
             if not sep:
-                raise MalformedTriplet(
-                    f"triplet {chunk!r} has 4 forms and no anchor"
-                )
+                raise NeoGateError(f"triplet {chunk!r} has 4 forms and no anchor")
             if not text:
-                raise BadAnchor(f"empty anchor string in {chunk!r}")
+                raise NeoGateError(f"empty anchor string in {chunk!r}")
             if not dist.isdigit() or int(dist) < 1:
-                raise BadAnchor(
+                raise NeoGateError(
                     f"anchor distance {dist!r} in {chunk!r} is not a positive integer"
                 )
             anchor = Anchor(text, int(dist))
         if len(parts) != 3:
-            raise MalformedTriplet(
-                f"triplet {chunk!r} has {len(parts)} forms, expected 3"
-            )
+            raise NeoGateError(f"triplet {chunk!r} has {len(parts)} forms, expected 3")
         masc, fem, tagged = parts
         if TAG_RE.search(masc) or TAG_RE.search(fem):
-            raise MalformedTriplet(
-                f"gendered forms in {chunk!r} must not contain tags"
-            )
+            raise NeoGateError(f"gendered forms in {chunk!r} must not contain tags")
         tags_in_form = TAG_RE.findall(tagged)
         if len(tags_in_form) != 1:
-            raise MalformedTriplet(
-                f"tagged form {tagged!r} must contain exactly one tag"
-            )
+            raise NeoGateError(f"tagged form {tagged!r} must contain exactly one tag")
         tag_name = tags_in_form[0]
-        spec = tagset[tag_name]  # raises UnknownTag
+        spec = tagset[tag_name]  # raises on an unknown tag
         kind = "content" if spec.kind == CONTENT else "function"
         if anchor is not None and kind == "content":
-            raise BadAnchor(f"content triplet {chunk!r} carries an anchor")
+            raise NeoGateError(f"content triplet {chunk!r} carries an anchor")
         triplets.append(
             Triplet(
                 masc_form=masc,
@@ -168,6 +129,13 @@ def serialize_annotation(triplets: tuple[Triplet, ...] | list[Triplet]) -> str:
     return "; ".join(parts) + ";" if parts else ""
 
 
+def _decode(raw: bytes, name) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise NeoGateError(f"{name} is not valid UTF-8: {exc}") from exc
+
+
 def parse_corpus(raw: bytes | str, tagset: TagsetDefinition) -> list[Entry]:
     """Parse a corpus TSV into entries.
 
@@ -175,16 +143,10 @@ def parse_corpus(raw: bytes | str, tagset: TagsetDefinition) -> list[Entry]:
     annotations, bad encoding) raise; semantic invariants are checked
     separately by :func:`validate_corpus`.
     """
-    if isinstance(raw, bytes):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"corpus is not valid UTF-8: {exc}") from exc
-    else:
-        text = raw
+    text = _decode(raw, "corpus") if isinstance(raw, bytes) else raw
     lines = text.lstrip("﻿").splitlines()
     if not lines or tuple(lines[0].split("\t")) != HEADER:
-        raise MalformedRow(
+        raise NeoGateError(
             "missing or wrong header; expected " + "\\t".join(HEADER)
         )
     entries = []
@@ -193,18 +155,18 @@ def parse_corpus(raw: bytes | str, tagset: TagsetDefinition) -> list[Entry]:
             continue
         columns = line.split("\t")
         if len(columns) != len(HEADER):
-            raise MalformedRow(
+            raise NeoGateError(
                 f"line {line_no}: expected {len(HEADER)} columns, got {len(columns)}"
             )
         entry_id, source, ref_masc, ref_fem, ref_tagged, annotation = columns
         if not annotation.strip():
-            raise EmptyAnnotation(f"line {line_no} (entry {entry_id}): empty annotation")
+            raise NeoGateError(f"line {line_no} (entry {entry_id}): empty annotation")
         try:
             triplets = parse_annotation(annotation, tagset)
         except NeoGateError as exc:
-            raise type(exc)(f"line {line_no} (entry {entry_id}): {exc}") from exc
+            raise NeoGateError(f"line {line_no} (entry {entry_id}): {exc}") from exc
         if not triplets:
-            raise EmptyAnnotation(f"line {line_no} (entry {entry_id}): empty annotation")
+            raise NeoGateError(f"line {line_no} (entry {entry_id}): empty annotation")
         entries.append(
             Entry(entry_id, source, ref_masc, ref_fem, ref_tagged, tuple(triplets))
         )
@@ -230,9 +192,14 @@ def serialize_corpus(corpus: list[Entry]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of an input file; one that does not decode is a data
+    error that names it."""
+    return _decode(Path(path).read_bytes(), path)
+
+
 def load_corpus(path, tagset: TagsetDefinition) -> list[Entry]:
-    with open(path, "rb") as fh:
-        return parse_corpus(fh.read(), tagset)
+    return parse_corpus(_read_text(path), tagset)
 
 
 def validate_corpus(corpus: list[Entry]) -> list[ValidationIssue]:
@@ -330,11 +297,9 @@ def cohen_kappa(labels_a: list[str], labels_b: list[str]) -> float:
     and p_e the chance agreement from the marginal label frequencies.
     """
     if len(labels_a) != len(labels_b):
-        raise LengthMismatch(
-            f"label lists differ in length: {len(labels_a)} vs {len(labels_b)}"
-        )
+        raise NeoGateError(f"label lists differ in length: {len(labels_a)} vs {len(labels_b)}")
     if not labels_a:
-        raise EmptyInput("label lists are empty")
+        raise NeoGateError("label lists are empty")
     n = len(labels_a)
     p_o = sum(a == b for a, b in zip(labels_a, labels_b)) / n
     labelset = sorted(set(labels_a) | set(labels_b))
@@ -345,7 +310,7 @@ def cohen_kappa(labels_a: list[str], labels_b: list[str]) -> float:
     if p_e == 1.0:
         if labels_a == labels_b:
             return 1.0
-        raise DegenerateAgreement("chance agreement is 1 for differing lists")
+        raise NeoGateError("chance agreement is 1 for differing lists")
     return (p_o - p_e) / (1.0 - p_e)
 
 

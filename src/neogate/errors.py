@@ -1,8 +1,11 @@
-"""Common exception base for all data and protocol errors in this package."""
+"""The one exception type for data and protocol errors in this package."""
 
 
 class NeoGateError(Exception):
-    """Base class for recoverable errors raised by this package.
+    """A data or protocol error; its message says what went wrong.
 
-    The command-line layer maps any subclass to exit code 1.
+    The command-line layer maps it to exit code 1. The two subclasses exist
+    because a caller tells them apart: ``runner.NetworkError`` marks an
+    entry failed and the run goes on, and a ``promptkit.SpecMismatch``
+    raised by ``PromptSpec`` on the spec flags is a usage error, exit code 2.
     """

@@ -22,10 +22,6 @@ from .errors import NeoGateError
 from .paradigm import AdaptedEntry
 
 
-class NoAnnotations(NeoGateError):
-    """Metrics are undefined when there are zero annotations."""
-
-
 class Outcome(str, Enum):
     UNMATCHED = "unmatched"
     MATCHED_MASC = "matched_masc"
@@ -245,7 +241,7 @@ def compute_metrics(counts: EvalCounts) -> MetricReport:
     """
     annotations, matched, correct = counts.annotations, counts.matched, counts.correct
     if annotations == 0:
-        raise NoAnnotations("cannot compute metrics over zero annotations")
+        raise NeoGateError("cannot compute metrics over zero annotations")
     return MetricReport(
         cov=round_half_up(100 * matched, annotations),
         acc=round_half_up(100 * correct, matched) if matched else 0.0,

@@ -33,22 +33,6 @@ ITALIAN_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzàèéìíîòóùú")
 BUILTIN_PARADIGMS = ("asterisk", "schwa")
 
 
-class UnknownTag(NeoGateError):
-    """A placeholder tag is not part of the tagset."""
-
-
-class MissingTag(NeoGateError):
-    """A mapping file leaves a tagset tag without a replacement."""
-
-
-class MissingMarker(NeoGateError):
-    """A replacement string lacks the marker of its grammatical number."""
-
-
-class IllegalMarker(NeoGateError):
-    """A marker character belongs to the Italian alphabet."""
-
-
 class TagSpec(NamedTuple):
     """One tag of the tagset: its name, grammatical class, number, and kind."""
 
@@ -104,7 +88,7 @@ class TagsetDefinition:
         try:
             return self._by_name[name]
         except KeyError:
-            raise UnknownTag(f"tag <{name}> is not in the tagset") from None
+            raise NeoGateError(f"tag <{name}> is not in the tagset") from None
 
 
 class TagsetMapping(NamedTuple):
@@ -123,7 +107,7 @@ class TagsetMapping(NamedTuple):
         try:
             return self.replacements[tag_name]
         except KeyError:
-            raise UnknownTag(
+            raise NeoGateError(
                 f"tag <{tag_name}> has no replacement in paradigm "
                 f"{self.paradigm_name!r}"
             ) from None
@@ -149,17 +133,13 @@ def load_builtin_tagset() -> TagsetDefinition:
     return TagsetDefinition(tuple(tags))
 
 
-def parse_mapping(raw: bytes | str, tagset: TagsetDefinition) -> TagsetMapping:
+def parse_mapping(text: str, tagset: TagsetDefinition) -> TagsetMapping:
     """Parse and validate a paradigm mapping file.
 
     The file format is line oriented: ``!name``, ``!marker-singular`` and
     ``!marker-plural`` directives, ``TAG<TAB>REPLACEMENT`` data lines, and
     ``#`` comments.
     """
-    if isinstance(raw, bytes):
-        text = raw.decode("utf-8")
-    else:
-        text = raw
     name = ""
     marker_s = ""
     marker_p = ""
@@ -184,7 +164,7 @@ def parse_mapping(raw: bytes | str, tagset: TagsetDefinition) -> TagsetMapping:
         if not sep or not replacement:
             raise NeoGateError(f"line {line_no}: expected TAG<TAB>REPLACEMENT")
         if tag_name not in tagset:
-            raise UnknownTag(f"line {line_no}: tag <{tag_name}> is not in the tagset")
+            raise NeoGateError(f"line {line_no}: tag <{tag_name}> is not in the tagset")
         if any(ch.isspace() for ch in replacement):
             # multi-word forms would break token-level matching downstream
             raise NeoGateError(
@@ -196,17 +176,15 @@ def parse_mapping(raw: bytes | str, tagset: TagsetDefinition) -> TagsetMapping:
         if len(marker) != 1:
             raise NeoGateError(f"marker-{label} must be exactly one character")
         if marker.lower() in ITALIAN_LETTERS:
-            raise IllegalMarker(
-                f"marker {marker!r} is an Italian-alphabet letter"
-            )
+            raise NeoGateError(f"marker {marker!r} is an Italian-alphabet letter")
 
     missing = [t.name for t in tagset.tags if t.name not in replacements]
     if missing:
-        raise MissingTag(f"mapping lacks replacements for: {', '.join(missing)}")
+        raise NeoGateError(f"mapping lacks replacements for: {', '.join(missing)}")
     for tag in tagset.tags:
         marker = marker_s if tag.number == SINGULAR else marker_p
         if marker not in replacements[tag.name]:
-            raise MissingMarker(
+            raise NeoGateError(
                 f"replacement {replacements[tag.name]!r} for {tag.token} lacks "
                 f"the {tag.number} marker {marker!r}"
             )
@@ -266,8 +244,8 @@ def adapt_entry(entry, mapping: TagsetMapping) -> AdaptedEntry:
             ref_adapted=adapt_reference(entry.ref_tagged, mapping),
             triplets=adapt_triplets(entry.triplets, mapping),
         )
-    except UnknownTag as exc:
-        raise UnknownTag(f"entry {entry.entry_id}: {exc}") from exc
+    except NeoGateError as exc:
+        raise NeoGateError(f"entry {entry.entry_id}: {exc}") from exc
 
 
 def adapt_corpus(corpus, mapping: TagsetMapping) -> list[AdaptedEntry]:

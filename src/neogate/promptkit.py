@@ -48,10 +48,6 @@ class SpecMismatch(NeoGateError):
     """The supplied exemplars do not agree with the prompt spec."""
 
 
-class EmptyCorpus(NeoGateError):
-    """Exemplars cannot be ranked over an empty corpus."""
-
-
 class ChatMessage(NamedTuple):
     role: str  # "user" | "assistant"
     content: str
@@ -195,7 +191,7 @@ def rank_exemplar_candidates(dev_corpus: list[Entry]) -> list[str]:
     most balanced singular/plural mix as tie-break, then the entry id.
     """
     if not dev_corpus:
-        raise EmptyCorpus("cannot rank exemplars over an empty corpus")
+        raise NeoGateError("cannot rank exemplars over an empty corpus")
     mean_density = sum(len(e.triplets) for e in dev_corpus) / len(dev_corpus)
 
     def key(entry: Entry) -> tuple[float, int, str]:

@@ -48,18 +48,6 @@ class NetworkError(NeoGateError):
     """The endpoint stayed unreachable after all retries."""
 
 
-class AuthError(NeoGateError):
-    """The endpoint rejected the credential; the run is aborted."""
-
-
-class CacheCorruption(NeoGateError):
-    """The cache file contains an unreadable record."""
-
-
-class MissingEntry(NeoGateError):
-    """The run records do not cover the corpus."""
-
-
 @dataclass(frozen=True)
 class ClientConfig:
     endpoint: str
@@ -218,7 +206,7 @@ class JsonlCache:
                     if not isinstance(record["prompt_hash"], str):
                         raise ValueError("prompt_hash is not a string")
                 except ValueError as exc:  # JSONDecodeError included
-                    raise CacheCorruption(
+                    raise NeoGateError(
                         f"{self.path}: bad record at byte offset {offset}: {exc}"
                     ) from exc
                 index[record["prompt_hash"]] = (offset, end)
@@ -264,7 +252,7 @@ class JsonlCache:
         # is wrong: drop it, and the next load checks the whole file
         with contextlib.suppress(OSError):
             self.index_path.unlink()
-        raise CacheCorruption(
+        raise NeoGateError(
             f"{self.index_path}: no record of {key} where the index points; "
             "the index was removed, run again"
         )
@@ -442,13 +430,16 @@ class ChatClient:
                 logger.warning("request failed (attempt %d): %s", attempt + 1, exc)
                 continue
             if status in (401, 403):
-                raise AuthError(f"endpoint rejected credentials ({status})")
+                raise NeoGateError(f"endpoint rejected credentials ({status})")
             if status != 200:
                 last_error = NetworkError(f"HTTP {status}")
                 logger.warning("HTTP %d (attempt %d)", status, attempt + 1)
                 continue
             try:
-                return json.loads(data)["choices"][0]["message"]["content"]
+                content = json.loads(data)["choices"][0]["message"]["content"]
+                if not isinstance(content, str):  # null for a refusal or a tool call
+                    raise TypeError(f"content is {type(content).__name__}, not a string")
+                return content
             except (ValueError, LookupError, TypeError) as exc:
                 last_error = exc
                 logger.warning("malformed response body (attempt %d): %s", attempt + 1, exc)
@@ -582,13 +573,17 @@ def _request(
 
 def export_hypotheses(records: Sequence[RunRecord], corpus_order: Sequence[str]) -> str:
     """Render records as a hypothesis file: one line per entry, in corpus
-    order, blank for failed or unparseable entries."""
-    by_id = {r.entry_id: r for r in records}
+    order, blank for failed or unparseable entries. The i-th entry with an
+    id takes the i-th record with that id."""
+    by_id: dict[str, list[RunRecord]] = {}
+    for r in reversed(records):
+        by_id.setdefault(r.entry_id, []).append(r)
     lines = []
     for entry_id in corpus_order:
-        record = by_id.get(entry_id)
-        if record is None:
-            raise MissingEntry(f"no run record for entry {entry_id}")
+        pending = by_id.get(entry_id)
+        if not pending:
+            raise NeoGateError(f"no run record for entry {entry_id}")
+        record = pending.pop()
         lines.append(hypothesis_line(record.translation if record.outcome == "ok" else None))
     return "\n".join(lines) + "\n"
 

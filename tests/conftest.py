@@ -151,8 +151,10 @@ class _EchoHandler(BaseHTTPRequestHandler):
     """Replies with the bracketed English source of the last user message.
 
     ``server.script`` can hold a list of HTTP status codes to emit before
-    behaving normally; every request increments ``server.calls``. Each
-    request runs on its own thread, so the count is kept under a lock.
+    behaving normally, with ``"garbage"`` for a body that is not JSON and
+    ``"null"`` for a null ``content``; every request increments
+    ``server.calls``. Each request runs on its own thread, so the count is
+    kept under a lock.
     """
 
     def do_POST(self):  # noqa: N802 (http.server API)
@@ -164,10 +166,13 @@ class _EchoHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length)) if length else {}
         if server.script:
             status = server.script.pop(0)
-            if status == "garbage":
+            if status in ("garbage", "null"):
                 self.send_response(200)
                 self.end_headers()
-                self.wfile.write(b"not json at all")
+                if status == "garbage":
+                    self.wfile.write(b"not json at all")
+                else:
+                    self.wfile.write(b'{"choices": [{"message": {"content": null}}]}')
                 return
             if status != 200:
                 self.send_response(status)

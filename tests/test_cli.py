@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import types
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from neogate.cli import (
 from neogate.evaluator import EvalCounts, MetricReport
 from neogate.runner import RunRecord
 
-from .conftest import DATA_DIR, EXAMPLE_CORPUS_TEXT, EXAMPLE_SOURCE, split_path
+from .conftest import DATA_DIR, EXAMPLE_CORPUS_TEXT, EXAMPLE_SOURCE, HEADER_LINE, split_path
 
 # SHA-256 of `neogate adapt` on the bundled test split, and of the report.kv
 # and trace.tsv of `neogate evaluate` scoring those adapted references
@@ -107,7 +108,9 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and "nonexistent.conf" in err
 
 
-@pytest.mark.parametrize("flag", ["hyp", "mapping", "config", "labels-a", "labels-b"])
+@pytest.mark.parametrize(
+    "flag", ["hyp", "mapping", "config", "labels-a", "labels-b", "corpus", "dev-corpus"]
+)
 def test_non_utf8_input_file_exits_1(flag, corpus_file, tmp_path, capsys):
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes(b"caf\xe9\n")
@@ -119,10 +122,77 @@ def test_non_utf8_input_file_exits_1(flag, corpus_file, tmp_path, capsys):
         "config": [f"--config={latin1}", "stats", f"--corpus={corpus_file}"],
         "labels-a": ["kappa", f"--labels-a={latin1}", f"--labels-b={labels}"],
         "labels-b": ["kappa", f"--labels-a={labels}", f"--labels-b={latin1}"],
+        "corpus": ["stats", f"--corpus={latin1}"],
+        "dev-corpus": ["prompt", f"--corpus={corpus_file}", "--format=direct", "--shots=1",
+                       f"--dev-corpus={latin1}"],
     }[flag]
     assert dispatch(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert str(latin1) in err  # the line says which file it was
+
+
+def failure_case(case, corpus_file, tmp_path, request) -> tuple[list[str], str]:
+    """The argv of one way a command fails on its input, and its ``error:`` line."""
+    row = EXAMPLE_CORPUS_TEXT.splitlines()[1]
+    bad = tmp_path / "bad.tsv"
+    rows = {
+        "malformed-row": row.rpartition("\t")[0],
+        "unknown-tag": row.replace("<DARTS>;", "<XYZ>;"),
+        "bad-anchor": row.replace("<DARTS>;", "<DARTS> direttore=x;"),
+    }
+    if case in rows:
+        bad.write_text(f"{HEADER_LINE}\n{rows[case]}\n", encoding="utf-8")
+        return ["stats", f"--corpus={bad}"], {
+            "malformed-row": "line 2: expected 6 columns, got 5",
+            "unknown-tag": "line 2 (entry 0001): tag <XYZ> is not in the tagset",
+            "bad-anchor": "line 2 (entry 0001): anchor distance 'x' in "
+            "'il la <DARTS> direttore=x' is not a positive integer",
+        }[case]
+    asterisk = resources.files("neogate.data").joinpath("asterisk.map").read_text("utf-8")
+    if case == "mapping-lacks-tag":
+        bad.write_text(asterisk.replace("PREPsuP\tsull*\n", ""), encoding="utf-8")
+        return ["adapt", f"--corpus={corpus_file}", f"--mapping={bad}"], (
+            "mapping lacks replacements for: PREPsuP"
+        )
+    if case == "italian-marker":
+        bad.write_text(asterisk.replace("!marker-singular *", "!marker-singular a"), encoding="utf-8")
+        return ["adapt", f"--corpus={corpus_file}", f"--mapping={bad}"], (
+            "marker 'a' is an Italian-alphabet letter"
+        )
+    few_shot = ["prompt", f"--corpus={corpus_file}", "--format=direct", "--shots=1"]
+    if case == "empty-dev-corpus":
+        bad.write_text(HEADER_LINE + "\n", encoding="utf-8")
+        return [*few_shot, f"--dev-corpus={bad}"], "cannot rank exemplars over an empty corpus"
+    if case == "unknown-exemplar":
+        return [*few_shot, f"--dev-corpus={corpus_file}", "--exemplars=zzz"], (
+            "exemplar id 'zzz' not found in dev corpus"
+        )
+    if case == "corrupt-cache-line":
+        good = RunRecord("0001", "k1", "<x>", "ok", "x", "m", "t", "t").to_json() + "\n"
+        bad.write_text(good + "{not json\n" + good, encoding="utf-8")
+        return ["extract", f"--corpus={corpus_file}", "--model=m", f"--cache={bad}"], (
+            f"{bad}: bad record at byte offset {len(good.encode())}: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        )
+    assert case == "rejected-credentials"
+    server = request.getfixturevalue("echo_server")
+    server.script = [401]
+    return ["run", f"--corpus={corpus_file}", "--model=m", f"--endpoint={server.url}",
+            f"--out={tmp_path / 'out'}"], "endpoint rejected credentials (401)"
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["malformed-row", "unknown-tag", "bad-anchor", "mapping-lacks-tag", "italian-marker",
+     "empty-dev-corpus", "unknown-exemplar", "corrupt-cache-line", "rejected-credentials"],
+)
+def test_input_failures_exit_1_with_one_error_line(case, corpus_file, tmp_path, request, capsys):
+    argv, message = failure_case(case, corpus_file, tmp_path, request)
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"error: {message}\n"
 
 
 def test_stats_output(capsys):
@@ -402,6 +472,39 @@ def test_run_and_config_precedence(corpus_file, tmp_path, echo_server, capsys):
     assert json.loads(cache_lines[0])["model"] == "flag-model"
 
 
+def test_reply_without_string_content_fails_uncached(corpus_file, tmp_path, echo_server, capsys):
+    out = tmp_path / "out"
+    argv = ["run", f"--corpus={corpus_file}", "--model=m", f"--endpoint={echo_server.url}",
+            f"--out={out}"]
+    echo_server.script = ["null"]  # {"choices": [{"message": {"content": null}}]}
+    assert dispatch([*argv, "--retries=0"]) == 0
+    assert "records=1 failed=1 " in capsys.readouterr().out
+    assert not (out / "cache.jsonl").exists()
+    assert (out / "hypotheses.txt").read_text(encoding="utf-8") == "\n"
+    # retried like any malformed body; the good reply is fetched and cached
+    echo_server.script = ["null"]
+    assert dispatch(argv) == 0
+    assert "records=1 failed=0 " in capsys.readouterr().out
+    assert echo_server.calls == 3
+    assert len((out / "cache.jsonl").read_text(encoding="utf-8").splitlines()) == 1
+    assert (out / "hypotheses.txt").read_text(encoding="utf-8") == EXAMPLE_SOURCE + "\n"
+
+
+def test_repeated_entry_id_keeps_each_entry_on_its_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "ChatClient", FakeClient)
+    corpus = tmp_path / "corpus.tsv"
+    second = EXAMPLE_CORPUS_TEXT.splitlines()[1].replace(EXAMPLE_SOURCE, "They said it again")
+    corpus.write_text(EXAMPLE_CORPUS_TEXT + second + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [f"--corpus={corpus}", "--model=m"]
+    assert dispatch(["run", *argv, UNUSED_ENDPOINT, f"--out={out}"]) == 0
+    hyp = (out / "hypotheses.txt").read_bytes()
+    assert hyp.decode() == f"m: {EXAMPLE_SOURCE}\nm: They said it again\n"
+    extracted = tmp_path / "extracted.txt"
+    assert dispatch(["extract", *argv, f"--cache={out / 'cache.jsonl'}", f"--out-file={extracted}"]) == 0
+    assert extracted.read_bytes() == hyp
+
+
 def test_config_bad_value_is_usage_error(corpus_file, tmp_path, capsys):
     config = tmp_path / "bad.conf"
     for line, flag in (("retries=abc", "--retries"), ("format=bogus", "--format")):
@@ -412,7 +515,9 @@ def test_config_bad_value_is_usage_error(corpus_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize(
-    "setting", ["retries=-1", "timeout=-1", "timeout=0", "timeout=inf", "timeout=nan"]
+    "setting",
+    ["retries=-1", "timeout=-1", "timeout=0", "timeout=inf", "timeout=nan", "concurrency=0",
+     "concurrency=-3", "rate-limit=-1", "rate-limit=inf", "rate-limit=nan"],
 )
 def test_run_rejects_out_of_range_retries_and_timeout(setting, source, corpus_file, tmp_path, capsys):
     out = tmp_path / "out"

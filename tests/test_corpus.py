@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,24 +11,14 @@ from hypothesis import strategies as st
 from neogate import (
     cohen_kappa,
     corpus_stats,
+    load_corpus,
     parse_annotation,
     parse_corpus,
     serialize_corpus,
     validate_corpus,
 )
-from neogate.corpus import (
-    BadAnchor,
-    DegenerateAgreement,
-    EmptyAnnotation,
-    EmptyInput,
-    EncodingError,
-    LengthMismatch,
-    MalformedRow,
-    MalformedTriplet,
-    aligned_tag_labels,
-    serialize_annotation,
-)
-from neogate.paradigm import UnknownTag
+from neogate.corpus import aligned_tag_labels, serialize_annotation
+from neogate.errors import NeoGateError
 
 from .conftest import EXAMPLE_CORPUS_TEXT, HEADER_LINE
 
@@ -67,39 +59,43 @@ def test_parse_annotation_two_anchors(tagset):
 
 
 def test_parse_annotation_arity_violation(tagset):
-    with pytest.raises(MalformedTriplet):
+    with pytest.raises(NeoGateError, match="has 2 forms, expected 3"):
         parse_annotation("il la", tagset)
 
 
 def test_parse_annotation_rejects_bad_anchors(tagset):
-    with pytest.raises(BadAnchor):
+    with pytest.raises(NeoGateError, match="anchor distance 'x' .* not a positive integer"):
         parse_annotation("il la <DARTS> stem=x;", tagset)
-    with pytest.raises(BadAnchor):
+    with pytest.raises(NeoGateError, match="anchor distance '0' .* not a positive integer"):
         parse_annotation("il la <DARTS> stem=0;", tagset)
-    with pytest.raises(BadAnchor):
+    with pytest.raises(NeoGateError, match="content triplet .* carries an anchor"):
         # anchors belong to function words only
         parse_annotation("amico amica amic<ENDS> amic=1;", tagset)
 
 
 def test_parse_annotation_rejects_unknown_and_tagless(tagset):
-    with pytest.raises(UnknownTag):
+    with pytest.raises(NeoGateError, match="tag <NOPE> is not in the tagset"):
         parse_annotation("il la <NOPE>;", tagset)
-    with pytest.raises(MalformedTriplet):
+    with pytest.raises(NeoGateError, match="'lo' must contain exactly one tag"):
         parse_annotation("il la lo;", tagset)
-    with pytest.raises(MalformedTriplet):
+    with pytest.raises(NeoGateError, match="'<DARTS><ENDS>' must contain exactly one tag"):
         parse_annotation("il la <DARTS><ENDS>;", tagset)
 
 
-def test_parse_corpus_structural_errors(tagset):
-    with pytest.raises(MalformedRow):
+def test_parse_corpus_structural_errors(tagset, tmp_path):
+    with pytest.raises(NeoGateError, match="missing or wrong header"):
         parse_corpus("WRONG\tHEADER\n", tagset)
-    with pytest.raises(MalformedRow):
+    with pytest.raises(NeoGateError, match="line 2: expected 6 columns, got 3"):
         parse_corpus(HEADER_LINE + "\nonly\tthree\tcolumns\n", tagset)
     row = "\t".join(("e1", "src", "ref m", "ref f", "ref <DARTS>", " "))
-    with pytest.raises(EmptyAnnotation):
+    with pytest.raises(NeoGateError, match=r"line 2 \(entry e1\): empty annotation"):
         parse_corpus(HEADER_LINE + "\n" + row + "\n", tagset)
-    with pytest.raises(EncodingError):
+    with pytest.raises(NeoGateError, match="corpus is not valid UTF-8"):
         parse_corpus(EXAMPLE_CORPUS_TEXT.encode("utf-16"), tagset)
+    utf16 = tmp_path / "utf16.tsv"
+    utf16.write_bytes(EXAMPLE_CORPUS_TEXT.encode("utf-16"))
+    with pytest.raises(NeoGateError, match=f"{re.escape(str(utf16))} is not valid UTF-8"):
+        load_corpus(utf16, tagset)
 
 
 def test_round_trip_is_byte_identical(tagset, example_corpus):
@@ -120,7 +116,7 @@ def test_parse_tolerates_crlf_and_bom(tagset, example_corpus):
 
 def test_parse_errors_carry_entry_context(tagset):
     text = EXAMPLE_CORPUS_TEXT.replace("<DARTS>", "<BOGUS>")
-    with pytest.raises(UnknownTag, match=r"line 2 \(entry 0001\)"):
+    with pytest.raises(NeoGateError, match=r"line 2 \(entry 0001\): tag <BOGUS> is not"):
         parse_corpus(text, tagset)
 
 
@@ -191,12 +187,12 @@ def test_kappa_fixed_values():
 
 
 def test_kappa_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(NeoGateError, match="differ in length: 1 vs 2"):
         cohen_kappa(["A"], ["A", "B"])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(NeoGateError, match="label lists are empty"):
         cohen_kappa([], [])
     # p_e = 1 only happens for identical constant lists, which short-circuit
-    # to 1.0 instead of raising DegenerateAgreement
+    # to 1.0 instead of raising "chance agreement is 1"
     assert cohen_kappa(["A", "A"], ["A", "A"]) == 1.0
 
 
@@ -214,7 +210,8 @@ def test_kappa_symmetry(ab):
     try:
         left = cohen_kappa(a, b)
         right = cohen_kappa(b, a)
-    except DegenerateAgreement:
+    except NeoGateError as exc:
+        assert str(exc) == "chance agreement is 1 for differing lists"
         return
     assert left == right
 
@@ -222,7 +219,6 @@ def test_kappa_symmetry(ab):
 @given(st.text(max_size=300))
 def test_parser_never_crashes_unexpectedly(text):
     from neogate import load_builtin_tagset
-    from neogate.errors import NeoGateError
 
     try:
         parse_corpus(text, load_builtin_tagset())
@@ -233,7 +229,6 @@ def test_parser_never_crashes_unexpectedly(text):
 @given(st.text(max_size=200))
 def test_annotation_parser_never_crashes_unexpectedly(text):
     from neogate import load_builtin_tagset
-    from neogate.errors import NeoGateError
 
     try:
         parse_annotation(text, load_builtin_tagset())

@@ -24,11 +24,11 @@ from neogate.evaluator import (
     Breakdown,
     EntryEval,
     EvalCounts,
-    NoAnnotations,
     Outcome,
     round_half_up,
     tokenizer,
 )
+from neogate.errors import NeoGateError
 from neogate.paradigm import AdaptedEntry, adapt_triplets
 
 from .conftest import exact_cwa
@@ -198,7 +198,7 @@ def test_compute_metrics_guard_and_zero_convention():
     counts = EvalCounts(annotations=2479, matched=0, correct=0, found=0)
     report = compute_metrics(counts)
     assert (report.cov, report.acc, report.cwa, report.mis) == (0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(NoAnnotations):
+    with pytest.raises(NeoGateError, match="cannot compute metrics over zero annotations"):
         compute_metrics(EvalCounts(annotations=0, matched=0, correct=0, found=0))
 
 

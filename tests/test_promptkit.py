@@ -12,8 +12,8 @@ from neogate import (
     parse_corpus,
     rank_exemplar_candidates,
 )
+from neogate.errors import NeoGateError
 from neogate.promptkit import (
-    EmptyCorpus,
     Exemplar,
     PromptFormat,
     PromptSpec,
@@ -184,7 +184,7 @@ def test_rank_exemplar_candidates_ordering(tagset):
 
 
 def test_rank_exemplar_candidates_empty(tagset):
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(NeoGateError, match="cannot rank exemplars over an empty corpus"):
         rank_exemplar_candidates([])
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import base64
-import contextlib
 import hashlib
 import json
 import logging
@@ -37,12 +36,9 @@ from neogate.promptkit import (
     prompt_head,
 )
 from neogate.runner import (
-    AuthError,
-    CacheCorruption,
     ChatClient,
     ClientConfig,
     JsonlCache,
-    MissingEntry,
     NetworkError,
     RunRecord,
     export_hypotheses,
@@ -187,7 +183,7 @@ def test_cache_corruption_reports_offset(tmp_path):
     path = tmp_path / "cache.jsonl"
     good = make_record().to_json() + "\n"
     path.write_text(good + "{not json\n", encoding="utf-8")
-    with pytest.raises(CacheCorruption, match=str(len(good.encode()))):
+    with pytest.raises(NeoGateError, match=f"bad record at byte offset {len(good.encode())}:"):
         JsonlCache(path)
 
 
@@ -201,7 +197,7 @@ def test_cache_checks_every_line_at_load(tmp_path, line):
     first = make_record(key="k1").to_json() + "\n"
     # the bad line is not the last one, and no record is ever read
     path.write_text(first + line + "\n" + make_record(key="k2").to_json() + "\n")
-    with pytest.raises(CacheCorruption, match=f"offset {len(first.encode())}:"):
+    with pytest.raises(NeoGateError, match=f"bad record at byte offset {len(first.encode())}:"):
         JsonlCache(path)
 
 
@@ -240,7 +236,7 @@ def test_sidecar_checks_a_changed_prefix_in_full(tmp_path):
     data = bytearray(path.read_bytes())
     data[offsets[1]] = ord("x")
     path.write_bytes(data)
-    with pytest.raises(CacheCorruption, match=f"offset {offsets[1]}:"):
+    with pytest.raises(NeoGateError, match=f"bad record at byte offset {offsets[1]}:"):
         JsonlCache(path)
 
 
@@ -250,7 +246,7 @@ def test_sidecar_checks_appended_lines(tmp_path):
     save_sidecar(path)
     [bad] = write_lines(path, "[]")
     write_lines(path, make_record(key="k2"))
-    with pytest.raises(CacheCorruption, match=f"offset {bad}:"):
+    with pytest.raises(NeoGateError, match=f"bad record at byte offset {bad}:"):
         JsonlCache(path)
 
 
@@ -316,7 +312,7 @@ def test_sidecar_pointing_a_hash_at_another_record_is_caught(tmp_path):
         index["k1"], index["k2"] = index["k2"], index["k1"]
 
     rewrite_sidecar(sidecar, swap)
-    with pytest.raises(CacheCorruption, match="no record of k1 where the index points"):
+    with pytest.raises(NeoGateError, match="no record of k1 where the index points"):
         JsonlCache(path).get("k1")
     assert not sidecar.exists()
     assert JsonlCache(path).records() == [first, second]
@@ -389,8 +385,10 @@ def cache_view(path):
     The load then saves its sidecar."""
     try:
         cache = JsonlCache(path)
-    except CacheCorruption as exc:
-        return str(exc).split(": ")[1]  # "bad record at byte offset N"
+    except NeoGateError as exc:
+        view = str(exc).split(": ")[1]
+        assert view.startswith("bad record at byte offset ")
+        return view
     view = len(cache), [cache.get(key) for key in CACHE_KEYS], cache.records()
     cache.save_index()
     return view
@@ -404,10 +402,12 @@ def test_sidecar_loads_agree_with_full_checks(steps):
         for step in steps:
             kind = step[0]
             if kind == "put":  # the sidecar then covers the put line too
-                with contextlib.suppress(CacheCorruption):
+                try:
                     cache = JsonlCache(path)
                     cache.put(make_record(raw=step[2], key=step[1]))
                     cache.save_index()
+                except NeoGateError as exc:
+                    assert "bad record at byte offset" in str(exc)
             elif kind == "append":
                 write_lines(path, make_record(raw=step[2], key=step[1]))
             elif kind == "bad":
@@ -508,8 +508,11 @@ def test_malformed_body_is_retried(echo_server, small_corpus, zero_spec, tmp_pat
 def test_auth_error_aborts(echo_server, small_corpus, zero_spec, tmp_path):
     echo_server.script = [401]
     config = ClientConfig(endpoint=echo_server.url, model="echo")
-    with pytest.raises(AuthError):
+    with pytest.raises(NeoGateError, match=r"endpoint rejected credentials \(401\)") as caught:
         run_corpus(small_corpus, zero_spec, config, tmp_path / "c.jsonl")
+    # not a NetworkError, which would mark the entry failed and go on
+    assert not isinstance(caught.value, NetworkError)
+    assert echo_server.calls == 1
 
 
 def test_concurrent_run_is_complete(echo_server, small_corpus, zero_spec, tmp_path):
@@ -559,7 +562,7 @@ def test_export_conventions():
     )
     text = export_hypotheses(records + [unparseable], ["e1", "e2", "e3"])
     assert text == "x\nx\n\n"
-    with pytest.raises(MissingEntry):
+    with pytest.raises(NeoGateError, match="no run record for entry e3"):
         export_hypotheses(records, ["e1", "e2", "e3"])
 
 
