@@ -172,12 +172,13 @@ def _build_spec(
         ids = ids or tuple(rank_exemplar_candidates(dev)[: args.shots])
     try:
         spec = PromptSpec(fmt, args.shots, mapping, ids)
+        if dev is None:
+            return spec, ()
+        chosen = [e for e in dev if e.entry_id in ids]
+        adapted = {a.entry_id: a.ref_adapted for a in adapt_corpus(chosen, mapping)}
+        return spec, exemplars_from_corpus(dev, adapted, ids)
     except SpecMismatch as exc:
         raise UsageError(f"--format/--shots/--exemplars: {exc}") from exc
-    if dev is None:
-        return spec, ()
-    adapted = {a.entry_id: a.ref_adapted for a in adapt_corpus(dev, mapping)}
-    return spec, exemplars_from_corpus(dev, adapted, ids)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -248,29 +249,34 @@ def cmd_prompt(args: argparse.Namespace) -> int:
     return 0
 
 
+# the flag of each ClientConfig field that checks its value
+_CONFIG_FLAGS = {
+    "timeout": "--timeout",
+    "max_retries": "--retries",
+    "rate_limit": "--rate-limit",
+    "concurrency": "--concurrency",
+}
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     from .runner import ClientConfig, export_hypotheses, run_corpus
 
     _require(args, "corpus", "endpoint", "model", "out")
-    if args.retries < 0:
-        raise UsageError(f"--retries must be 0 or more, not {args.retries}")
-    if not 0 < args.timeout < float("inf"):
-        raise UsageError(f"--timeout must be positive and finite, not {args.timeout}")
-    if args.concurrency < 1:
-        raise UsageError(f"--concurrency must be 1 or more, not {args.concurrency}")
-    if not 0 <= args.rate_limit < float("inf"):
-        raise UsageError(f"--rate-limit must be 0 or more and finite, not {args.rate_limit}")
+    try:
+        config = ClientConfig(
+            endpoint=args.endpoint,
+            model=args.model,
+            temperature=args.temperature,
+            timeout=args.timeout,
+            max_retries=args.retries,
+            rate_limit=args.rate_limit,
+            concurrency=args.concurrency,
+        )
+    except ValueError as exc:  # its message starts with the field's name
+        field, _, reason = str(exc).partition(" ")
+        raise UsageError(f"{_CONFIG_FLAGS[field]} {reason}") from exc
     tagset, corpus, mapping = _load_inputs(args)
     spec, exemplars = _build_spec(args, mapping, tagset)
-    config = ClientConfig(
-        endpoint=args.endpoint,
-        model=args.model,
-        temperature=args.temperature,
-        timeout=args.timeout,
-        max_retries=args.retries,
-        rate_limit=args.rate_limit,
-        concurrency=args.concurrency,
-    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = args.cache or str(out_dir / "cache.jsonl")

@@ -95,7 +95,8 @@ def parse_annotation(ann: str, tagset: TagsetDefinition) -> list[Triplet]:
         if len(parts) != 3:
             raise NeoGateError(f"triplet {chunk!r} has {len(parts)} forms, expected 3")
         masc, fem, tagged = parts
-        if TAG_RE.search(masc) or TAG_RE.search(fem):
+        # a tag needs a "<"; most gendered forms have none
+        if ("<" in masc and TAG_RE.search(masc)) or ("<" in fem and TAG_RE.search(fem)):
             raise NeoGateError(f"gendered forms in {chunk!r} must not contain tags")
         tags_in_form = TAG_RE.findall(tagged)
         if len(tags_in_form) != 1:
@@ -105,17 +106,7 @@ def parse_annotation(ann: str, tagset: TagsetDefinition) -> list[Triplet]:
         kind = "content" if spec.kind == CONTENT else "function"
         if anchor is not None and kind == "content":
             raise NeoGateError(f"content triplet {chunk!r} carries an anchor")
-        triplets.append(
-            Triplet(
-                masc_form=masc,
-                fem_form=fem,
-                tagged_form=tagged,
-                tag=tag_name,
-                kind=kind,
-                number=spec.number,
-                anchor=anchor,
-            )
-        )
+        triplets.append(Triplet(masc, fem, tagged, tag_name, kind, spec.number, anchor))
     return triplets
 
 

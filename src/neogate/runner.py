@@ -8,7 +8,8 @@ at ``choices[0].message.content``. Cache entries are keyed by a digest of
 the serialized messages plus model name and temperature, so re-running an
 unchanged configuration never touches the network. A run looks every
 prompt up first; the HTTP client, its thread pool and the stdlib network
-modules are loaded only when some prompt is missing from the cache.
+modules are loaded only when some prompt is missing from the cache, and
+``logging`` only when something is logged.
 """
 
 from __future__ import annotations
@@ -16,16 +17,15 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import logging
+import math
 import os
 import threading
 import time
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from functools import partial
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 from .corpus import Entry
@@ -39,8 +39,6 @@ from .promptkit import (
     prompt_head,
 )
 
-logger = logging.getLogger(__name__)
-
 API_KEY_ENV = "NEOGATE_API_KEY"
 
 
@@ -48,8 +46,15 @@ class NetworkError(NeoGateError):
     """The endpoint stayed unreachable after all retries."""
 
 
-@dataclass(frozen=True)
-class ClientConfig:
+def _logger():
+    """The ``neogate.runner`` logger; ``logging`` is loaded by the first
+    warning, not with the module."""
+    import logging
+
+    return logging.getLogger(__name__)
+
+
+class _ClientConfigFields(NamedTuple):
     endpoint: str
     model: str
     temperature: float = 0.0
@@ -57,6 +62,32 @@ class ClientConfig:
     max_retries: int = 2
     rate_limit: float = 0.0  # requests per second; 0 disables throttling
     concurrency: int = 1
+
+
+class ClientConfig(_ClientConfigFields):
+    """How ``run_corpus`` reaches the endpoint; checked on construction.
+
+    A value out of range raises ``ValueError`` whose message starts with
+    the field's name.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ClientConfig:
+        self = super().__new__(cls, *args, **kwargs)
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be positive and finite, not {self.timeout}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be 0 or more, not {self.max_retries}")
+        if not 0 <= self.rate_limit < math.inf:
+            raise ValueError(f"rate_limit must be 0 or more and finite, not {self.rate_limit}")
+        if self.concurrency < 1:
+            raise ValueError(f"concurrency must be 1 or more, not {self.concurrency}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> ClientConfig:  # ``_replace`` checks too
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -117,22 +148,30 @@ def prompt_hash(messages: Sequence[ChatMessage], model: str, temperature: float)
     return prompt_hasher((), model, temperature)(messages)
 
 
-_INDEX_VERSION = 2
+_INDEX_VERSION = 3
 
 
 def _line_text(data: bytearray, start: int, end: int) -> str:
     return data[start:end].decode("utf-8", errors="replace").strip()
 
 
+def _line_end(data: bytearray, start: int) -> int:
+    """The end of the line at ``start``, past its newline; 0 when no newline
+    follows. Every checked record line ends with one, so the index need not
+    keep the end."""
+    return data.find(b"\n", start) + 1
+
+
 class JsonlCache:
     """Append-only JSONL store of run records indexed by prompt hash.
 
     Every line is checked once. The sidecar ``<path>.idx`` holds the length
-    of a prefix that a load has checked, the byte span of each hash's last
-    record in it, and one SHA-256 over that prefix and those spans. A load
-    whose sidecar digest matches checks only the lines after that prefix;
-    any other load checks the whole file. Only ``save_index`` writes the
-    sidecar. A ``RunRecord`` is decoded from its line only when it is read.
+    of a prefix that a load has checked, the start offset of each hash's
+    last record in it (the record ends at the next newline), and one SHA-256
+    over that prefix and that index. A load whose sidecar digest matches
+    checks only the lines after that prefix; any other load checks the
+    whole file. Only ``save_index`` writes the sidecar. A ``RunRecord`` is
+    decoded from its line only when it is read.
     """
 
     def __init__(self, path: str | Path):
@@ -141,8 +180,8 @@ class JsonlCache:
         self._lock = threading.Lock()
         # the checked file content, then this instance's appends
         self._data = bytearray()
-        # prompt hash -> (start, end) of its last record in _data
-        self._index: dict[str, Sequence[int]] = {}
+        # prompt hash -> start offset of its last record in _data
+        self._index: dict[str, int] = {}
         self._indexed = 0  # the length of _data that the sidecar covers
         if self.path.exists():
             self._load()
@@ -159,7 +198,7 @@ class JsonlCache:
         if end < len(data):
             # a crash cut the last append short: cut the fragment off, or
             # the next put would join it
-            logger.warning("%s: dropping torn last record at byte offset %d", self.path, end)
+            _logger().warning("%s: dropping torn last record at byte offset %d", self.path, end)
             os.truncate(self.path, end)
             del data[end:]
 
@@ -209,7 +248,7 @@ class JsonlCache:
                     raise NeoGateError(
                         f"{self.path}: bad record at byte offset {offset}: {exc}"
                     ) from exc
-                index[record["prompt_hash"]] = (offset, end)
+                index[record["prompt_hash"]] = offset
             offset = end
         return offset
 
@@ -241,15 +280,15 @@ class JsonlCache:
             with contextlib.suppress(OSError):
                 tmp.unlink()
 
-    def _record(self, key: str, span: Sequence[int]) -> RunRecord:
+    def _record(self, key: str, start: int) -> RunRecord:
         try:
-            fields = json.loads(_line_text(self._data, *span))
+            fields = json.loads(_line_text(self._data, start, _line_end(self._data, start)))
             if fields["prompt_hash"] == key:
                 return RunRecord.from_json(fields)
         except (ValueError, LookupError, TypeError):
             pass
-        # every checked span holds its own hash's record, so the sidecar
-        # is wrong: drop it, and the next load checks the whole file
+        # every indexed offset starts its own hash's checked record, so the
+        # sidecar is wrong: drop it, and the next load checks the whole file
         with contextlib.suppress(OSError):
             self.index_path.unlink()
         raise NeoGateError(
@@ -259,12 +298,38 @@ class JsonlCache:
 
     def get(self, key: str) -> RunRecord | None:
         with self._lock:
-            span = self._index.get(key)
-            return None if span is None else self._record(key, span)
+            start = self._index.get(key)
+            return None if start is None else self._record(key, start)
+
+    def get_many(self, keys: Iterable[str]) -> dict[str, RunRecord]:
+        """The record of each of ``keys`` that the cache holds, in the order
+        of ``keys``, as ``get`` gives it, but all decoded by one
+        ``json.loads``. When some line is not its hash's record, each line
+        is decoded alone, so the first such line raises as in ``get``."""
+        with self._lock:
+            data, index = self._data, self._index
+            starts = {key: index[key] for key in keys if key in index}
+            try:
+                # every line ends with its newline, so the lines decode as
+                # they do one by one
+                lines = b",".join(
+                    [data[start : _line_end(data, start)] for start in starts.values()]
+                )
+                decoded = json.loads("[" + lines.decode("utf-8", errors="replace") + "]")
+                records = {}
+                for key, fields in zip(starts, decoded, strict=True):
+                    if fields["prompt_hash"] != key:
+                        raise ValueError("not the record of its hash")
+                    records[key] = RunRecord.from_json(fields)
+                return records
+            except (ValueError, LookupError, TypeError):
+                return {key: self._record(key, start) for key, start in starts.items()}
 
     def records(self) -> list[RunRecord]:
+        # one line at a time: a decode of every line at once would hold
+        # all of their fields at the same time
         with self._lock:
-            return [self._record(key, span) for key, span in self._index.items()]
+            return [self._record(key, start) for key, start in self._index.items()]
 
     def put(self, record: RunRecord) -> None:
         line = (record.to_json() + "\n").encode("utf-8")
@@ -272,9 +337,8 @@ class JsonlCache:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "ab") as fh:
                 fh.write(line)
-            start = len(self._data)
+            self._index[record.prompt_hash] = len(self._data)
             self._data += line
-            self._index[record.prompt_hash] = (start, len(self._data))
 
     def __len__(self) -> int:
         return len(self._index)
@@ -298,7 +362,8 @@ class _Throttle:
 
 
 def _utcnow() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    # datetime.now(timezone.utc).isoformat(timespec="seconds"), without datetime
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _split_url(url: str, schemes: tuple[str, ...], what: str):
@@ -427,13 +492,13 @@ class ChatClient:
                 status, data = self._post(payload, headers)
             except self._errors as exc:
                 last_error = exc
-                logger.warning("request failed (attempt %d): %s", attempt + 1, exc)
+                _logger().warning("request failed (attempt %d): %s", attempt + 1, exc)
                 continue
             if status in (401, 403):
                 raise NeoGateError(f"endpoint rejected credentials ({status})")
             if status != 200:
                 last_error = NetworkError(f"HTTP {status}")
-                logger.warning("HTTP %d (attempt %d)", status, attempt + 1)
+                _logger().warning("HTTP %d (attempt %d)", status, attempt + 1)
                 continue
             try:
                 content = json.loads(data)["choices"][0]["message"]["content"]
@@ -442,7 +507,7 @@ class ChatClient:
                 return content
             except (ValueError, LookupError, TypeError) as exc:
                 last_error = exc
-                logger.warning("malformed response body (attempt %d): %s", attempt + 1, exc)
+                _logger().warning("malformed response body (attempt %d): %s", attempt + 1, exc)
                 continue
         raise NetworkError(f"retries exhausted: {last_error}")
 
@@ -501,13 +566,12 @@ def lookup_prompts(
     first: dict[str, int] = {}  # each prompt's first entry, in corpus order
     for i, key in enumerate(hashes):
         first.setdefault(key, i)
-    records, missing = {}, []
-    for key, i in first.items():
-        record = cache.get(key)
-        if record is None:
-            missing.append((key, corpus[i].entry_id, head + [finals[i]]))
-        else:
-            records[key] = record
+    records = cache.get_many(first)
+    missing = [
+        (key, corpus[i].entry_id, head + [finals[i]])
+        for key, i in first.items()
+        if key not in records
+    ]
     if not missing:
         cache.save_index()
     return hashes, records, missing
@@ -533,7 +597,7 @@ def _request(
         try:
             raw = client.complete(messages)
         except NetworkError as exc:
-            logger.error("entry %s failed: %s", entry_id, exc)
+            _logger().error("entry %s failed: %s", entry_id, exc)
             # not cached: a failed entry is retried by the next run
             return RunRecord(
                 entry_id=entry_id,

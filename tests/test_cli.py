@@ -164,10 +164,6 @@ def failure_case(case, corpus_file, tmp_path, request) -> tuple[list[str], str]:
     if case == "empty-dev-corpus":
         bad.write_text(HEADER_LINE + "\n", encoding="utf-8")
         return [*few_shot, f"--dev-corpus={bad}"], "cannot rank exemplars over an empty corpus"
-    if case == "unknown-exemplar":
-        return [*few_shot, f"--dev-corpus={corpus_file}", "--exemplars=zzz"], (
-            "exemplar id 'zzz' not found in dev corpus"
-        )
     if case == "corrupt-cache-line":
         good = RunRecord("0001", "k1", "<x>", "ok", "x", "m", "t", "t").to_json() + "\n"
         bad.write_text(good + "{not json\n" + good, encoding="utf-8")
@@ -185,7 +181,7 @@ def failure_case(case, corpus_file, tmp_path, request) -> tuple[list[str], str]:
 @pytest.mark.parametrize(
     "case",
     ["malformed-row", "unknown-tag", "bad-anchor", "mapping-lacks-tag", "italian-marker",
-     "empty-dev-corpus", "unknown-exemplar", "corrupt-cache-line", "rejected-credentials"],
+     "empty-dev-corpus", "corrupt-cache-line", "rejected-credentials"],
 )
 def test_input_failures_exit_1_with_one_error_line(case, corpus_file, tmp_path, request, capsys):
     argv, message = failure_case(case, corpus_file, tmp_path, request)
@@ -269,18 +265,20 @@ def test_prompt_entry_filter(corpus_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "flags, message",
     [
-        ["--format", "direct"],
-        ["--shots", "3"],
-        ["--format", "direct", "--exemplars", "a,b", "--shots", "1"],
+        (["--format", "direct"], "n_shots is 0 exactly for the zero-shot format"),
+        (["--shots", "3"], "n_shots must be one of (0, 1, 4, 8)"),
+        (["--format", "direct", "--exemplars", "a,b", "--shots", "1"], "2 exemplar ids for 1 shots"),
+        (["--format", "direct", "--shots", "1", "--exemplars", "zzz"],
+         "exemplar id 'zzz' not found in dev corpus"),
     ],
-    ids=["direct-0-shots", "3-shots", "2-exemplars-1-shot"],
+    ids=["direct-0-shots", "3-shots", "2-exemplars-1-shot", "unknown-exemplar"],
 )
-def test_prompt_rejected_spec_flags_are_usage_errors(corpus_file, flags, capsys):
+def test_prompt_rejected_spec_flags_are_usage_errors(corpus_file, flags, message, capsys):
     argv = ["prompt", "--corpus", str(corpus_file), "--dev-corpus", str(corpus_file)]
     assert dispatch(argv + flags) == 2
-    assert capsys.readouterr().err.startswith("usage error: ")
+    assert capsys.readouterr().err == f"usage error: --format/--shots/--exemplars: {message}\n"
 
 
 def test_prompt_few_shot_requires_dev(corpus_file, capsys):
@@ -710,7 +708,8 @@ def test_warm_run_loads_no_evaluator(corpus_file, tmp_path, echo_server):
            f"--endpoint={echo_server.url}"]
     watched = ("neogate.evaluator",)
     assert cli_in_subprocess(run, watched) == (0, [])
-    assert cli_in_subprocess(run, watched) == (0, [])
+    # nor what only requests and warnings use
+    assert cli_in_subprocess(run, (*watched, "logging", "datetime")) == (0, [])
     assert echo_server.calls == 1
 
 

@@ -82,6 +82,18 @@ def test_parse_annotation_rejects_unknown_and_tagless(tagset):
         parse_annotation("il la <DARTS><ENDS>;", tagset)
 
 
+@pytest.mark.parametrize("masc, fem", [("<DARTS>", "la"), ("il", "l<ENDS>"), ("il<DARTS>", "la")])
+def test_parse_annotation_rejects_tags_in_gendered_forms(tagset, masc, fem):
+    chunk = f"{masc} {fem} <DARTS>"
+    with pytest.raises(NeoGateError, match=f"gendered forms in '{chunk}' must not contain tags"):
+        parse_annotation(chunk + ";", tagset)
+
+
+def test_parse_annotation_keeps_a_bracket_that_is_no_tag(tagset):
+    [triplet] = parse_annotation("i<l l<> <DARTS>;", tagset)
+    assert triplet[:3] == ("i<l", "l<>", "<DARTS>")
+
+
 def test_parse_corpus_structural_errors(tagset, tmp_path):
     with pytest.raises(NeoGateError, match="missing or wrong header"):
         parse_corpus("WRONG\tHEADER\n", tagset)

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import base64
+import dataclasses
 import hashlib
 import json
 import logging
 import math
+import shutil
 import socket
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -293,9 +296,9 @@ def test_sidecar_whose_index_was_changed_is_not_used(tmp_path):
     sidecar = save_sidecar(path)
     header, _, body = sidecar.read_bytes().partition(b"\n")
     index = json.loads(body)
-    assert index["k1"][0] == new_at
+    assert index["k1"] == new_at
     # point k1 at its older record; the digest no longer matches
-    index["k1"] = [old_at, new_at - old_at]
+    index["k1"] = old_at
     sidecar.write_bytes(header + b"\n" + json.dumps(index).encode())
     cache = JsonlCache(path)
     assert cache.get("k1") == new
@@ -316,6 +319,22 @@ def test_sidecar_pointing_a_hash_at_another_record_is_caught(tmp_path):
         JsonlCache(path).get("k1")
     assert not sidecar.exists()
     assert JsonlCache(path).records() == [first, second]
+    sidecar = save_sidecar(path)
+    rewrite_sidecar(sidecar, swap)
+    with pytest.raises(NeoGateError, match="no record of k1 where the index points"):
+        JsonlCache(path).get_many(["k1", "k2"])
+    assert not sidecar.exists()
+
+
+def test_sidecar_pointing_a_hash_past_the_last_line_is_caught(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    write_lines(path, make_record(key="k1"))
+    sidecar = save_sidecar(path)
+    rewrite_sidecar(sidecar, lambda index: index.update(k1=path.stat().st_size))
+    # the one line read is empty: not a miss, an error
+    with pytest.raises(NeoGateError, match="no record of k1 where the index points"):
+        JsonlCache(path).get_many(["k1"])
+    assert not sidecar.exists()
 
 
 def test_unwritable_sidecar_still_loads(tmp_path):
@@ -370,6 +389,141 @@ def test_warm_load_decodes_only_the_lines_it_reads(tmp_path, monkeypatch):
 
 
 CACHE_KEYS = ["k0", "k1", "k2"]
+
+
+def test_version_2_sidecar_is_ignored_then_replaced(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    records = [make_record(key=f"k{i}", raw=f"<{i}>") for i in range(3)]
+    offsets = write_lines(path, *records)
+    data = path.read_bytes()
+    # the version 2 index: each hash's [start, end], under a matching digest
+    spans = zip(offsets, offsets[1:] + [len(data)])
+    body = json.dumps({r.prompt_hash: list(span) for r, span in zip(records, spans)}).encode()
+    header = {"version": 2, "length": len(data), "sha256": hashlib.sha256(data + body).hexdigest()}
+    sidecar = path.with_name("cache.jsonl.idx")
+    old = json.dumps(header).encode() + b"\n" + body
+    sidecar.write_bytes(old)
+    cache = JsonlCache(path)
+    # a read through a [start, end] offset would fail
+    assert cache.records() == records
+    assert sidecar.read_bytes() == old
+    cache.save_index()
+    header, _, body = sidecar.read_bytes().partition(b"\n")
+    assert json.loads(header)["version"] == 3
+    assert json.loads(body) == {r.prompt_hash: at for r, at in zip(records, offsets)}
+    assert JsonlCache(path).records() == records
+    assert path.read_bytes() == data
+
+
+def test_records_read_back_take_what_the_benchmark_does(tmp_path):
+    """``perfbench`` copies records read from a cache with
+    ``dataclasses.replace`` and puts them into another cache."""
+    path, probe = tmp_path / "cache.jsonl", tmp_path / "probe.jsonl"
+    JsonlCache(path).put(make_record())
+    [record] = JsonlCache(path).records()
+    stamped = dataclasses.replace(record, requested_at="T", completed_at="T")
+    assert (stamped.prompt_hash, stamped.requested_at, stamped.completed_at) == ("k1", "T", "T")
+    JsonlCache(probe).put(stamped)
+    reloaded = JsonlCache(probe)
+    assert reloaded.records() == [stamped]
+    assert reloaded.get("k1") == stamped
+
+
+LOOKUP_KEYS = st.lists(st.sampled_from(CACHE_KEYS + ["k9"]), max_size=6)
+
+
+def looked_up_one_by_one(cache, keys) -> dict:
+    return {key: record for key in keys if (record := cache.get(key)) is not None}
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("put"), st.sampled_from(CACHE_KEYS), st.text(max_size=8)),
+            st.tuples(st.just("save")),
+            st.tuples(st.just("reload")),
+        ),
+        max_size=12,
+    ),
+    LOOKUP_KEYS,
+)
+def test_get_many_agrees_with_get(steps, keys):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "cache.jsonl")
+        cache = JsonlCache(path)
+        for step in steps:
+            if step[0] == "put":  # a key put again gets a later record
+                cache.put(make_record(raw=step[2], key=step[1]))
+            elif step[0] == "save":
+                cache.save_index()
+            else:
+                cache = JsonlCache(path)
+            found = cache.get_many(keys)
+            assert found == looked_up_one_by_one(cache, keys)
+            assert list(found) == [key for key in dict.fromkeys(keys) if key in found]
+
+
+# bytes around a record line: JSON whitespace, and whitespace that only the
+# line check strips
+LINE_PADS = st.sampled_from([b"", b" ", b"\r", b"\x0c", "\u00a0".encode(), "\u2028".encode()])
+# bytes in a reply that are not UTF-8; the second is an encoded surrogate
+REPLY_JUNK = st.sampled_from([b"", b"\xff", b"\xed\xa0\x80"])
+
+
+def lookup_outcome(path: Path, keys, lookup):
+    """The records ``lookup(cache, keys)`` finds, or its error with the
+    cache's directory left out, and whether the sidecar is left."""
+    sidecar = path.with_name("cache.jsonl.idx")
+    try:
+        found = lookup(JsonlCache(path), keys)
+    except NeoGateError as exc:
+        return str(exc).replace(str(path.parent), ""), sidecar.exists()
+    return found, sidecar.exists()
+
+
+@given(st.data())
+def test_get_many_on_a_corrupt_index_raises_as_get(data):
+    lines = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(CACHE_KEYS), st.text(max_size=8), LINE_PADS, REPLY_JUNK),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    keys = data.draw(LOOKUP_KEYS)
+    with tempfile.TemporaryDirectory() as tmp:
+        one, many = Path(tmp, "one", "cache.jsonl"), Path(tmp, "many", "cache.jsonl")
+        one.parent.mkdir()
+        one.write_bytes(
+            b"".join(
+                pad
+                + make_record(raw=raw, key=key).to_json().encode().replace(b'"raw": "', b'"raw": "' + junk)
+                + pad
+                + b"\n"
+                for key, raw, pad, junk in lines
+            )
+        )
+        sidecar = save_sidecar(one)
+        starts = [0, *(i + 1 for i, byte in enumerate(one.read_bytes()) if byte == 0x0A)]
+        edits = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(CACHE_KEYS),
+                    st.sampled_from(starts)
+                    | st.integers(-2, starts[-1] + 2)
+                    | st.sampled_from([[0, starts[-1]], "0"]),
+                ),
+                max_size=3,
+            )
+        )
+        rewrite_sidecar(sidecar, lambda index: index.update(edits))
+        shutil.copytree(one.parent, many.parent)
+        outcome = lookup_outcome(one, keys, looked_up_one_by_one)
+        assert lookup_outcome(many, keys, JsonlCache.get_many) == outcome
+        if not edits:
+            assert outcome[1]  # the sidecar was sound and stays
+
+
 CACHE_STEPS = st.one_of(
     st.tuples(st.just("put"), st.sampled_from(CACHE_KEYS), st.text(max_size=8)),
     st.tuples(st.just("append"), st.sampled_from(CACHE_KEYS), st.text(max_size=8)),
@@ -574,6 +728,35 @@ def test_export_flattens_newlines():
 def test_record_json_round_trip():
     record = make_record()
     assert RunRecord.from_json(json.loads(record.to_json())) == record
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("timeout", 0.0), ("timeout", -1.0), ("timeout", math.inf), ("timeout", math.nan),
+     ("max_retries", -1), ("rate_limit", -1.0), ("rate_limit", math.inf),
+     ("rate_limit", math.nan), ("concurrency", 0), ("concurrency", -3)],
+)
+def test_client_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        ClientConfig(endpoint="http://x", model="m", **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        ClientConfig(endpoint="http://x", model="m")._replace(**{field: value})
+
+
+def test_run_corpus_with_a_bad_config_sends_nothing(echo_server, small_corpus, zero_spec, tmp_path):
+    path = tmp_path / "c.jsonl"
+    with pytest.raises(ValueError, match="concurrency must be 1 or more, not -3"):
+        run_corpus(
+            small_corpus, zero_spec, ClientConfig(endpoint=echo_server.url, model="echo", concurrency=-3), path
+        )
+    assert echo_server.calls == 0
+    assert not path.exists()
+
+
+def test_request_times_are_utc_iso_seconds():
+    before = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    stamp = runner._utcnow()
+    assert stamp in (before, datetime.now(timezone.utc).isoformat(timespec="seconds"))
 
 
 def test_temperature_defaults_to_zero():
