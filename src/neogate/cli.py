@@ -21,7 +21,7 @@ from .corpus import (
     cohen_kappa,
     corpus_stats,
     load_corpus,
-    serialize_annotation,
+    serialize_corpus,
     validate_corpus,
 )
 from .errors import NeoGateError
@@ -83,7 +83,7 @@ class RunManifest(NamedTuple):
 
 
 def parse_kv(text: str) -> dict[str, str]:
-    """Parse a flat key=value document (used by report.kv and manifest.kv)."""
+    """Parse a flat key=value document, such as a ``--config`` file."""
     values: dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()
@@ -214,22 +214,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_adapt(args: argparse.Namespace) -> int:
     _require(args, "corpus")
     _, corpus, mapping = _load_inputs(args)
-    adapted = adapt_corpus(corpus, mapping)
-    lines = ["\t".join(ADAPTED_HEADER)]
-    for entry, a in zip(corpus, adapted):
-        lines.append(
-            "\t".join(
-                (
-                    entry.entry_id,
-                    entry.source,
-                    entry.ref_masc,
-                    entry.ref_fem,
-                    a.ref_adapted,
-                    serialize_annotation(a.triplets),
-                )
-            )
-        )
-    _emit(args.out_file, "\n".join(lines) + "\n")
+    # the adapted reference and forms take the tagged ones' columns
+    adapted = [
+        e._replace(ref_tagged=a.ref_adapted, triplets=a.triplets)
+        for e, a in zip(corpus, adapt_corpus(corpus, mapping))
+    ]
+    _emit(args.out_file, serialize_corpus(adapted, ADAPTED_HEADER))
     return 0
 
 
@@ -251,6 +241,7 @@ def cmd_prompt(args: argparse.Namespace) -> int:
 
 # the flag of each ClientConfig field that checks its value
 _CONFIG_FLAGS = {
+    "temperature": "--temperature",
     "timeout": "--timeout",
     "max_retries": "--retries",
     "rate_limit": "--rate-limit",

@@ -164,9 +164,9 @@ def parse_corpus(raw: bytes | str, tagset: TagsetDefinition) -> list[Entry]:
     return entries
 
 
-def serialize_corpus(corpus: list[Entry]) -> str:
-    """Render entries back into the canonical TSV form (LF line endings)."""
-    lines = ["\t".join(HEADER)]
+def serialize_corpus(corpus: list[Entry], header: tuple[str, ...] = HEADER) -> str:
+    """Render entries as TSV under ``header``, with LF line endings."""
+    lines = ["\t".join(header)]
     for e in corpus:
         lines.append(
             "\t".join(

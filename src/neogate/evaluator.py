@@ -273,14 +273,13 @@ def evaluate_hypotheses(
     tokenize_text = tokenizer(marker_set)
     evals = []
     for entry, hyp in zip(adapted, hypotheses):
-        blank = not hyp.strip()
         evals.append(
             match_entry(
-                tokenize_text(hyp) if not blank else [],
+                tokenize_text(hyp),  # a blank line has no tokens
                 entry.triplets,
                 marker_set,
                 entry_id=entry.entry_id,
-                unparseable=blank,
+                unparseable=not hyp.strip(),
             )
         )
     return evals

@@ -8,8 +8,8 @@ characters that identify neomorphemes in the singular and in the plural.
 
 from __future__ import annotations
 
+import os
 import re
-from importlib import resources
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NeoGateError
@@ -18,9 +18,7 @@ if TYPE_CHECKING:
     from .corpus import Triplet
 
 SINGULAR = "singular"
-PLURAL = "plural"
 CONTENT = "content-suffix"
-FUNCTION = "function-word"
 
 TAG_RE = re.compile(r"<([A-Za-z0-9]+)>")
 
@@ -40,10 +38,6 @@ class TagSpec(NamedTuple):
     category: str
     number: str
     kind: str
-
-    @property
-    def token(self) -> str:
-        return f"<{self.name}>"
 
 
 class TagsetDefinition:
@@ -121,11 +115,16 @@ class AdaptedEntry(NamedTuple):
     triplets: tuple[Triplet, ...]
 
 
+def _read_data(name: str) -> str:
+    """The text of a bundled data file, read from beside this module."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def load_builtin_tagset() -> TagsetDefinition:
     """Load the bundled tagset definition (29 tags)."""
-    text = resources.files("neogate.data").joinpath("tagset.tsv").read_text("utf-8")
     tags = []
-    for line in text.splitlines()[1:]:
+    for line in _read_data("tagset.tsv").splitlines()[1:]:
         if not line.strip():
             continue
         name, category, number, kind = line.split("\t")
@@ -185,21 +184,20 @@ def parse_mapping(text: str, tagset: TagsetDefinition) -> TagsetMapping:
         marker = marker_s if tag.number == SINGULAR else marker_p
         if marker not in replacements[tag.name]:
             raise NeoGateError(
-                f"replacement {replacements[tag.name]!r} for {tag.token} lacks "
+                f"replacement {replacements[tag.name]!r} for <{tag.name}> lacks "
                 f"the {tag.number} marker {marker!r}"
             )
     return TagsetMapping(name or "unnamed", replacements, marker_s, marker_p)
 
 
-def load_builtin_mapping(name: str, tagset: TagsetDefinition | None = None) -> TagsetMapping:
+def load_builtin_mapping(name: str, tagset: TagsetDefinition) -> TagsetMapping:
     """Load one of the bundled paradigm mappings by name ('asterisk', 'schwa')."""
     if name not in BUILTIN_PARADIGMS:
         raise NeoGateError(
             f"unknown built-in paradigm {name!r}; available: "
             + ", ".join(BUILTIN_PARADIGMS)
         )
-    raw = resources.files("neogate.data").joinpath(f"{name}.map").read_text("utf-8")
-    return parse_mapping(raw, tagset or load_builtin_tagset())
+    return parse_mapping(_read_data(f"{name}.map"), tagset)
 
 
 def replace_tags(text: str, mapping: TagsetMapping) -> str:

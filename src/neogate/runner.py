@@ -75,6 +75,8 @@ class ClientConfig(_ClientConfigFields):
 
     def __new__(cls, *args, **kwargs) -> ClientConfig:
         self = super().__new__(cls, *args, **kwargs)
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be 0 or more and finite, not {self.temperature}")
         if not 0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be positive and finite, not {self.timeout}")
         if self.max_retries < 0:
@@ -598,32 +600,26 @@ def _request(
             raw = client.complete(messages)
         except NetworkError as exc:
             _logger().error("entry %s failed: %s", entry_id, exc)
-            # not cached: a failed entry is retried by the next run
-            return RunRecord(
-                entry_id=entry_id,
-                prompt_hash=key,
-                raw="",
-                outcome="failed",
-                translation=None,
-                model=config.model,
-                requested_at=requested_at,
-                completed_at=_utcnow(),
-            )
-        translation = extract_translation(raw, spec)
+            raw, translation, outcome = "", None, "failed"
+        else:
+            translation = extract_translation(raw, spec)
+            outcome = "unparseable" if translation is None else "ok"
         record = RunRecord(
             entry_id=entry_id,
             prompt_hash=key,
             raw=raw,
-            outcome="unparseable" if translation is None else "ok",
+            outcome=outcome,
             translation=translation,
             model=config.model,
             requested_at=requested_at,
             completed_at=_utcnow(),
         )
-        cache.put(record)
+        if outcome != "failed":  # a failed entry is retried by the next run
+            cache.put(record)
         return record
 
     try:
+        # a pool would send one more request per worker after a 401
         if config.concurrency <= 1:
             return [fetch(p) for p in prompts]
         from concurrent.futures import ThreadPoolExecutor

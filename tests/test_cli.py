@@ -515,7 +515,8 @@ def test_config_bad_value_is_usage_error(corpus_file, tmp_path, capsys):
 @pytest.mark.parametrize(
     "setting",
     ["retries=-1", "timeout=-1", "timeout=0", "timeout=inf", "timeout=nan", "concurrency=0",
-     "concurrency=-3", "rate-limit=-1", "rate-limit=inf", "rate-limit=nan"],
+     "concurrency=-3", "rate-limit=-1", "rate-limit=inf", "rate-limit=nan", "temperature=nan",
+     "temperature=inf", "temperature=-1"],
 )
 def test_run_rejects_out_of_range_retries_and_timeout(setting, source, corpus_file, tmp_path, capsys):
     out = tmp_path / "out"
@@ -703,14 +704,20 @@ def test_commands_without_a_network_load_no_runner(command, corpus_file, tmp_pat
     assert cli_in_subprocess(argv, RUNNER_MODULES) == (0, [])
 
 
+# what reading the bundled data through ``importlib.resources`` would load
+RESOURCE_MODULES = ("importlib.resources", "tempfile", "zipfile")
+
+
 def test_warm_run_loads_no_evaluator(corpus_file, tmp_path, echo_server):
     run = ["run", f"--corpus={corpus_file}", "--model=m", f"--out={tmp_path}",
            f"--endpoint={echo_server.url}"]
     watched = ("neogate.evaluator",)
     assert cli_in_subprocess(run, watched) == (0, [])
-    # nor what only requests and warnings use
-    assert cli_in_subprocess(run, (*watched, "logging", "datetime")) == (0, [])
+    # nor what only requests and warnings use, nor a resource reader
+    assert cli_in_subprocess(run, (*watched, "logging", "datetime", *RESOURCE_MODULES)) == (0, [])
     assert echo_server.calls == 1
+    evaluate = ["evaluate", f"--corpus={corpus_file}", f"--hyp={tmp_path / 'hypotheses.txt'}"]
+    assert cli_in_subprocess(evaluate, RESOURCE_MODULES) == (0, [])
 
 
 class LineBreakClient(FakeClient):

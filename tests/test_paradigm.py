@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
+import neogate.paradigm
 from neogate import adapt_corpus, adapt_reference, parse_corpus, parse_mapping
 from neogate.corpus import serialize_annotation
 from neogate.errors import NeoGateError
@@ -64,6 +66,19 @@ def test_builtin_mappings(asterisk, schwa):
     assert schwa.replacement("ENDS") == "ə"
     assert schwa.replacement("ENDP") == "ɜ"
     assert schwa.replacement("DARTP") == "lɜ"
+
+
+def test_bundled_data_is_declared_package_data():
+    # the data files are opened beside the module, so one that no glob
+    # names is missing only from an installed copy
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["neogate"]
+    package = Path(neogate.paradigm.__file__).parent
+    bundled = {p for p in (package / "data").rglob("*") if p.is_file()}
+    declared = {p for pattern in globs for p in package.glob(pattern)}
+    assert bundled and bundled <= declared, sorted(map(str, bundled - declared))
 
 
 def _mapping_text(drop: str = "", patch: dict | None = None) -> str:

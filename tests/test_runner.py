@@ -734,7 +734,8 @@ def test_record_json_round_trip():
     "field, value",
     [("timeout", 0.0), ("timeout", -1.0), ("timeout", math.inf), ("timeout", math.nan),
      ("max_retries", -1), ("rate_limit", -1.0), ("rate_limit", math.inf),
-     ("rate_limit", math.nan), ("concurrency", 0), ("concurrency", -3)],
+     ("rate_limit", math.nan), ("concurrency", 0), ("concurrency", -3),
+     ("temperature", math.nan), ("temperature", math.inf), ("temperature", -1.0)],
 )
 def test_client_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be "):
