@@ -7,9 +7,9 @@ The wire format is a chat-completions-style JSON body (``model``,
 at ``choices[0].message.content``. Cache entries are keyed by a digest of
 the serialized messages plus model name and temperature, so re-running an
 unchanged configuration never touches the network. A run looks every
-prompt up first; the HTTP client, its thread pool and the stdlib network
-modules are loaded only when some prompt is missing from the cache, and
-``logging`` only when something is logged.
+prompt up first; the HTTP client and the stdlib network modules are
+loaded only when some prompt is missing from the cache, and ``logging``
+only when something is logged.
 """
 
 from __future__ import annotations
@@ -173,7 +173,8 @@ class JsonlCache:
     over that prefix and that index. A load whose sidecar digest matches
     checks only the lines after that prefix; any other load checks the
     whole file. Only ``save_index`` writes the sidecar. A ``RunRecord`` is
-    decoded from its line only when it is read.
+    decoded from its line only when it is read. Appends go through one
+    handle, so close the cache, or use it in ``with``, once it has put.
     """
 
     def __init__(self, path: str | Path):
@@ -185,6 +186,7 @@ class JsonlCache:
         # prompt hash -> start offset of its last record in _data
         self._index: dict[str, int] = {}
         self._indexed = 0  # the length of _data that the sidecar covers
+        self._file = None  # the append handle, from the first put to close
         if self.path.exists():
             self._load()
 
@@ -334,13 +336,31 @@ class JsonlCache:
             return [self._record(key, start) for key, start in self._index.items()]
 
     def put(self, record: RunRecord) -> None:
+        """Append ``record`` in one ``write`` that reaches the file before
+        ``put`` returns. The first ``put`` opens the file, and ``close``
+        closes it."""
         line = (record.to_json() + "\n").encode("utf-8")
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "ab") as fh:
-                fh.write(line)
+            if self._file is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._file = open(self.path, "ab", buffering=0)
+            self._file.write(line)
             self._index[record.prompt_hash] = len(self._data)
             self._data += line
+
+    def close(self) -> None:
+        """Close the file that a ``put`` opened; a later ``put`` opens it
+        again."""
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None
+
+    def __enter__(self) -> JsonlCache:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def __len__(self) -> int:
         return len(self._index)
@@ -532,13 +552,13 @@ def run_corpus(
     authentication failure aborts the whole run.
     """
     _split_url(config.endpoint, ("http", "https"), "endpoint")
-    cache = JsonlCache(cache_path)
-    hashes, records, missing = lookup_prompts(
-        corpus, spec, exemplars, config.model, config.temperature, cache
-    )
-    if missing:
-        fetched = _request(missing, spec, config, cache, client)
-        records.update((r.prompt_hash, r) for r in fetched)
+    with JsonlCache(cache_path) as cache:
+        hashes, records, missing = lookup_prompts(
+            corpus, spec, exemplars, config.model, config.temperature, cache
+        )
+        if missing:
+            fetched = _request(missing, spec, config, cache, client)
+            records.update((r.prompt_hash, r) for r in fetched)
     return [
         record if record.entry_id == entry.entry_id else replace(record, entry_id=entry.entry_id)
         for entry, record in zip(corpus, map(records.__getitem__, hashes))
@@ -587,15 +607,24 @@ def _request(
     client: ChatClient | None,
 ) -> list[RunRecord]:
     """Request each (prompt hash, entry id, messages) once and cache the
-    replies; builds and closes a client when none is given."""
+    replies; builds and closes a client when none is given.
+
+    The calling thread and ``concurrency - 1`` helper threads each take the
+    next prompt in turn. The first exception on any of them, such as a
+    401/403 or an interrupt, stops every thread from taking another; the
+    helpers are joined, and then it is raised.
+    """
     owned = client is None
     client = client or ChatClient(config)
     throttle = _Throttle(config.rate_limit)
+    records: list = [None] * len(prompts)  # each filled at its prompt's index
+    todo = enumerate(prompts)
+    lock = threading.Lock()
+    failures: list[BaseException] = []
 
-    def fetch(prompt: tuple[str, str, list[ChatMessage]]) -> RunRecord:
-        key, entry_id, messages = prompt
-        requested_at = _utcnow()
+    def fetch(key: str, entry_id: str, messages: list[ChatMessage]) -> RunRecord:
         throttle.wait()
+        requested_at = _utcnow()
         try:
             raw = client.complete(messages)
         except NetworkError as exc:
@@ -618,17 +647,37 @@ def _request(
             cache.put(record)
         return record
 
-    try:
-        # a pool would send one more request per worker after a 401
-        if config.concurrency <= 1:
-            return [fetch(p) for p in prompts]
-        from concurrent.futures import ThreadPoolExecutor
+    def take() -> tuple[int, tuple[str, str, list[ChatMessage]]] | None:
+        with lock:
+            return None if failures else next(todo, None)
 
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            return list(pool.map(fetch, prompts))
+    def work() -> None:
+        try:
+            while item := take():
+                index, prompt = item
+                records[index] = fetch(*prompt)
+        except BaseException as exc:
+            with lock:
+                failures.append(exc)
+
+    helpers: list[threading.Thread] = []
+    try:
+        for _ in range(config.concurrency - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    except BaseException as exc:  # an interrupt, or a helper that did not start
+        with lock:
+            failures.append(exc)
     finally:
+        for helper in helpers:
+            helper.join()
         if owned:
             client.close()
+    if failures:
+        raise failures[0]
+    return records
 
 
 def export_hypotheses(records: Sequence[RunRecord], corpus_order: Sequence[str]) -> str:

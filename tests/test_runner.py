@@ -8,10 +8,14 @@ import hashlib
 import json
 import logging
 import math
+import random
+import re
 import shutil
 import socket
+import sys
 import tempfile
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -51,29 +55,36 @@ from neogate.runner import (
 
 from .conftest import HEADER_LINE
 
-SMALL_CORPUS = (
-    HEADER_LINE
-    + "\n"
-    + "\n".join(
-        "\t".join(
-            (
-                f"e{i}",
-                f"Source sentence {i}.",
-                "Il maestro dorme.",
-                "La maestra dorme.",
-                "<DARTS> maestr<ENDS> dorme.",
-                "il la <DARTS> maestr=1; maestro maestra maestr<ENDS>;",
+def corpus_text(n: int) -> str:
+    """A corpus of ``n`` entries ``e1``... with distinct sources."""
+    return (
+        HEADER_LINE
+        + "\n"
+        + "\n".join(
+            "\t".join(
+                (
+                    f"e{i}",
+                    f"Source sentence {i}.",
+                    "Il maestro dorme.",
+                    "La maestra dorme.",
+                    "<DARTS> maestr<ENDS> dorme.",
+                    "il la <DARTS> maestr=1; maestro maestra maestr<ENDS>;",
+                )
             )
+            for i in range(1, n + 1)
         )
-        for i in range(1, 4)
+        + "\n"
     )
-    + "\n"
-)
 
 
 @pytest.fixture
 def small_corpus(tagset):
-    return parse_corpus(SMALL_CORPUS, tagset)
+    return parse_corpus(corpus_text(3), tagset)
+
+
+@pytest.fixture
+def wide_corpus(tagset):
+    return parse_corpus(corpus_text(12), tagset)
 
 
 @pytest.fixture
@@ -174,12 +185,53 @@ def test_full_split_prompt_digests(paradigm, request, test_split, dev_split):
 
 def test_cache_round_trip(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = JsonlCache(path)
     record = make_record()
-    cache.put(record)
-    assert cache.get("k1") == record
-    # a fresh instance reads the same record back from disk
-    assert JsonlCache(path).get("k1") == record
+    with JsonlCache(path) as cache:
+        cache.put(record)
+        assert cache.get("k1") == record
+        # a fresh instance reads the same record back from disk
+        assert JsonlCache(path).get("k1") == record
+
+
+def test_a_put_record_is_on_disk_when_put_returns(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    with JsonlCache(path) as cache:
+        for key in ("k1", "k2"):
+            cache.put(make_record(key=key))
+            # read by a second open while the first still holds its handle
+            assert JsonlCache(path).get(key) == make_record(key=key)
+            assert path.read_bytes().endswith((make_record(key=key).to_json() + "\n").encode())
+
+
+def test_puts_share_one_handle_until_close(tmp_path, monkeypatch):
+    path = tmp_path / "new" / "cache.jsonl"
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "open", counting_open, raising=False)
+    cache = JsonlCache(path)
+    for i in range(3):
+        cache.put(make_record(key=f"k{i}"))
+    assert opened == [path]
+    cache.close()
+    cache.close()  # a second close does nothing
+    # a put after close appends again, through a new handle
+    cache.put(make_record(key="k3"))
+    cache.close()
+    assert opened == [path, path]
+    assert [r.prompt_hash for r in JsonlCache(path).records()] == ["k0", "k1", "k2", "k3"]
+
+
+def test_a_cache_that_never_puts_opens_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "missing" / "cache.jsonl"
+    monkeypatch.setattr(runner, "open", None, raising=False)  # any open would fail
+    with JsonlCache(path) as cache:
+        assert cache.get("k1") is None
+        assert cache.get_many(["k1"]) == {}
+    assert not path.parent.exists()
 
 
 def test_cache_corruption_reports_offset(tmp_path):
@@ -272,9 +324,9 @@ def test_last_record_wins_across_the_checked_prefix(tmp_path):
 def test_a_load_leaves_the_sidecar_alone(tmp_path):
     path = tmp_path / "cache.jsonl"
     write_lines(path, make_record(key="k1"))
-    cache = JsonlCache(path)
-    assert cache.records() == [make_record(key="k1")]
-    cache.put(make_record(key="k2"))
+    with JsonlCache(path) as cache:
+        assert cache.records() == [make_record(key="k1")]
+        cache.put(make_record(key="k2"))
     assert not path.with_name("cache.jsonl.idx").exists()
 
 
@@ -419,11 +471,13 @@ def test_records_read_back_take_what_the_benchmark_does(tmp_path):
     """``perfbench`` copies records read from a cache with
     ``dataclasses.replace`` and puts them into another cache."""
     path, probe = tmp_path / "cache.jsonl", tmp_path / "probe.jsonl"
-    JsonlCache(path).put(make_record())
+    with JsonlCache(path) as cache:
+        cache.put(make_record())
     [record] = JsonlCache(path).records()
     stamped = dataclasses.replace(record, requested_at="T", completed_at="T")
     assert (stamped.prompt_hash, stamped.requested_at, stamped.completed_at) == ("k1", "T", "T")
-    JsonlCache(probe).put(stamped)
+    with JsonlCache(probe) as cache:
+        cache.put(stamped)
     reloaded = JsonlCache(probe)
     assert reloaded.records() == [stamped]
     assert reloaded.get("k1") == stamped
@@ -457,10 +511,12 @@ def test_get_many_agrees_with_get(steps, keys):
             elif step[0] == "save":
                 cache.save_index()
             else:
+                cache.close()
                 cache = JsonlCache(path)
             found = cache.get_many(keys)
             assert found == looked_up_one_by_one(cache, keys)
             assert list(found) == [key for key in dict.fromkeys(keys) if key in found]
+        cache.close()
 
 
 # bytes around a record line: JSON whitespace, and whitespace that only the
@@ -557,9 +613,9 @@ def test_sidecar_loads_agree_with_full_checks(steps):
             kind = step[0]
             if kind == "put":  # the sidecar then covers the put line too
                 try:
-                    cache = JsonlCache(path)
-                    cache.put(make_record(raw=step[2], key=step[1]))
-                    cache.save_index()
+                    with JsonlCache(path) as cache:
+                        cache.put(make_record(raw=step[2], key=step[1]))
+                        cache.save_index()
                 except NeoGateError as exc:
                     assert "bad record at byte offset" in str(exc)
             elif kind == "append":
@@ -774,13 +830,139 @@ def test_api_key_header(echo_server, small_corpus, zero_spec, tmp_path, monkeypa
 
 
 def test_rate_limit_spaces_requests(echo_server, small_corpus, zero_spec, tmp_path):
-    import time
-
     config = ClientConfig(endpoint=echo_server.url, model="echo", rate_limit=25.0)
     started = time.monotonic()
     run_corpus(small_corpus, zero_spec, config, tmp_path / "c.jsonl")
     # three requests at 25 req/s cannot finish faster than two intervals
     assert time.monotonic() - started >= 2 / 25
+
+
+def test_requested_at_is_stamped_after_the_rate_limit_wait(
+    echo_server, small_corpus, zero_spec, tmp_path, monkeypatch
+):
+    calls = []
+    utcnow = runner._utcnow
+    monkeypatch.setattr(runner._Throttle, "wait", lambda self: calls.append("wait"))
+
+    def stamp():
+        calls.append("stamp")
+        return utcnow()
+
+    monkeypatch.setattr(runner, "_utcnow", stamp)
+    config = ClientConfig(endpoint=echo_server.url, model="echo", rate_limit=25.0)
+    run_corpus(small_corpus, zero_spec, config, tmp_path / "c.jsonl")
+    # requested_at, then completed_at, for each request
+    assert calls == ["wait", "stamp", "stamp"] * 3
+
+
+class EchoClient:
+    """Stands in for ``ChatClient``: replies with the bracketed source of
+    the last message, as the echo server does, after ``delay()`` seconds,
+    and logs each request's source. ``fail(source)`` may raise instead."""
+
+    def __init__(self, delay=lambda: 0.0, fail=lambda source: None):
+        self.delay, self.fail = delay, fail
+        self.lock = threading.Lock()
+        self.sources: list[str] = []
+
+    def complete(self, messages) -> str:
+        source = re.search(r"\[English\] <(.*?)>", messages[-1].content, re.S).group(1)
+        with self.lock:
+            self.sources.append(source)
+            delay = self.delay()
+        time.sleep(delay)
+        self.fail(source)
+        return f"<{source}>"
+
+
+def test_auth_failure_stops_every_thread(wide_corpus, zero_spec, tmp_path):
+    def reject(source):
+        time.sleep(0.02)  # the other thread takes its prompt meanwhile
+        raise NeoGateError("endpoint rejected credentials (401)")
+
+    client = EchoClient(fail=reject)
+    config = ClientConfig(endpoint="http://127.0.0.1:9/v1", model="m", concurrency=2)
+    threads = threading.active_count()
+    with pytest.raises(NeoGateError, match=r"rejected credentials \(401\)"):
+        run_corpus(wide_corpus, zero_spec, config, tmp_path / "c.jsonl", client=client)
+    # at most the one request each thread had in flight
+    assert 1 <= len(client.sources) <= 2
+    assert threading.active_count() == threads
+    assert not (tmp_path / "c.jsonl").exists()
+
+
+@pytest.mark.parametrize("seed, concurrency", [(0, 3), (1, 3), (2, 3), (3, 8)])
+def test_threads_request_each_prompt_once_and_keep_corpus_order(
+    seed, concurrency, wide_corpus, zero_spec, tmp_path
+):
+    rng = random.Random(seed)
+    corpus = wide_corpus + [wide_corpus[i]._replace(entry_id=f"d{i}") for i in (3, 0, 3)]
+    client = EchoClient(delay=lambda: rng.uniform(0, 0.005))
+    config = ClientConfig(endpoint="http://127.0.0.1:9/v1", model="m", concurrency=concurrency)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        records = run_corpus(corpus, zero_spec, config, tmp_path / "c.jsonl", client=client)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    sources = [e.source for e in wide_corpus]
+    assert sorted(client.sources) == sorted(sources)
+    assert [r.entry_id for r in records] == [e.entry_id for e in corpus]
+    assert [r.translation for r in records] == [e.source for e in corpus]
+    assert len(JsonlCache(tmp_path / "c.jsonl")) == len(sources)
+
+
+def test_an_error_on_a_helper_thread_stops_the_run_and_it_resumes(
+    wide_corpus, zero_spec, tmp_path
+):
+    caller = threading.current_thread()
+    helper_calls = []
+
+    def bug_on_helper(source):
+        if threading.current_thread() is not caller:
+            helper_calls.append(source)
+            if len(helper_calls) == 3:
+                raise RuntimeError("a bug")
+
+    path = tmp_path / "c.jsonl"
+    client = EchoClient(delay=lambda: 0.005, fail=bug_on_helper)
+    config = ClientConfig(endpoint="http://127.0.0.1:9/v1", model="m", concurrency=2)
+    with pytest.raises(RuntimeError, match="a bug"):
+        run_corpus(wide_corpus, zero_spec, config, path, client=client)
+    # every prompt answered before the bug was put; the one it hit was not
+    failed = helper_calls[-1]
+    answered = [source for source in client.sources if source != failed]
+    assert len(client.sources) < len(wide_corpus)
+    cached = JsonlCache(path).records()
+    assert sorted(r.translation for r in cached) == sorted(answered)
+    rerun = EchoClient()
+    records = run_corpus(wide_corpus, zero_spec, config, path, client=rerun)
+    assert sorted(rerun.sources) == sorted(
+        e.source for e in wide_corpus if e.source not in answered
+    )
+    assert [r.translation for r in records] == [e.source for e in wide_corpus]
+
+
+def test_an_interrupt_of_the_calling_thread_stops_the_helpers(wide_corpus, zero_spec, tmp_path):
+    caller = threading.current_thread()
+    caller_calls = []
+
+    def interrupt_caller(source):
+        if threading.current_thread() is caller:
+            caller_calls.append(source)
+            if len(caller_calls) == 2:
+                raise KeyboardInterrupt
+
+    client = EchoClient(delay=lambda: 0.005, fail=interrupt_caller)
+    config = ClientConfig(endpoint="http://127.0.0.1:9/v1", model="m", concurrency=3)
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_corpus(wide_corpus, zero_spec, config, tmp_path / "c.jsonl", client=client)
+    assert threading.active_count() == threads
+    assert len(client.sources) < len(wide_corpus)
+    assert len(JsonlCache(tmp_path / "c.jsonl")) == len(client.sources) - 1
 
 
 class _KeepAliveHandler(BaseHTTPRequestHandler):
