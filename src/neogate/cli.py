@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import __version__
 from .corpus import (
     Entry,
+    ValidationIssue,
     _read_text,
     aligned_tag_labels,
     cohen_kappa,
@@ -194,7 +195,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     try:
         corpus = load_corpus(args.corpus, tagset)
     except NeoGateError as exc:
-        print(f"error\t-\t-\t{exc}", file=sys.stderr)
+        print(ValidationIssue("-", "error", str(exc), "-").render(), file=sys.stderr)
         return 1
     issues = validate_corpus(corpus)
     errors = [i for i in issues if i.severity == "error"]
@@ -290,7 +291,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    from .runner import JsonlCache, hypothesis_line, lookup_prompts
+    from .runner import JsonlCache, hypothesis_file, lookup_prompts
 
     _require(args, "corpus", "cache", "model")
     tagset, corpus, mapping = _load_inputs(args)
@@ -301,8 +302,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if missing:
         key, entry_id, _ = missing[0]
         raise NeoGateError(f"no cached record for entry {entry_id} (prompt hash {key})")
-    lines = [hypothesis_line(extract_translation(records[key].raw, spec)) for key in hashes]
-    _emit(args.out_file, "\n".join(lines) + "\n")
+    translations = (extract_translation(records[key].raw, spec) for key in hashes)
+    _emit(args.out_file, hypothesis_file(translations))
     return 0
 
 
@@ -444,15 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    path = ""
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif arg.startswith("--config="):
-            path = arg.partition("=")[2]
-    if not path:
-        return
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the key=value lines of the file at ``path`` the defaults of
+    every subcommand, so that flags still win."""
     values = {
         key.replace("-", "_"): value
         for key, value in parse_kv(_read_text(path)).items()
@@ -487,8 +482,10 @@ def dispatch(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        if args.config:
+            _apply_config(parser, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

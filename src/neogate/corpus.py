@@ -150,8 +150,6 @@ def parse_corpus(raw: bytes | str, tagset: TagsetDefinition) -> list[Entry]:
                 f"line {line_no}: expected {len(HEADER)} columns, got {len(columns)}"
             )
         entry_id, source, ref_masc, ref_fem, ref_tagged, annotation = columns
-        if not annotation.strip():
-            raise NeoGateError(f"line {line_no} (entry {entry_id}): empty annotation")
         try:
             triplets = parse_annotation(annotation, tagset)
         except NeoGateError as exc:

@@ -138,21 +138,18 @@ def prompt_head(
         raise SpecMismatch(
             f"{len(exemplars)} exemplars supplied for {spec.n_shots} shots"
         )
-    first_label = _STAGE_LABELS[spec.format][0]
     messages: list[ChatMessage] = []
     for i, ex in enumerate(exemplars):
-        body = f"{LABEL_ENGLISH} <{ex.source}>\n{first_label}"
-        if i == 0:
-            body = f"{instruction_sentence(spec.paradigm)}\n{body}"
-        messages.append(ChatMessage("user", body))
+        messages.append(final_message(ex.source, spec, i == 0))
         messages.append(ChatMessage("assistant", _exemplar_assistant(spec.format, ex)))
     return messages
 
 
 def final_message(source: str, spec: PromptSpec, opening: bool) -> ChatMessage:
-    """The user message that carries the test source and awaits completion
-    after the first stage label; an ``opening`` message, one that no
-    demonstration precedes, also carries the instruction."""
+    """The user message that carries ``source`` and ends with the first
+    stage label: each demonstration's, and the test source's, which awaits
+    completion. An ``opening`` message, one that no demonstration
+    precedes, also carries the instruction."""
     body = f"{LABEL_ENGLISH} <{source}>\n{_STAGE_LABELS[spec.format][0]}"
     if opening:
         body = f"{instruction_sentence(spec.paradigm)}\n{body}"

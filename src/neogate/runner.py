@@ -2,14 +2,13 @@
 append-only JSONL response cache, bounded retries, and corpus-ordered
 hypothesis export.
 
-The wire format is a chat-completions-style JSON body (``model``,
-``messages``, ``temperature``); the reply must carry the completion text
-at ``choices[0].message.content``. Cache entries are keyed by a digest of
-the serialized messages plus model name and temperature, so re-running an
-unchanged configuration never touches the network. A run looks every
-prompt up first; the HTTP client and the stdlib network modules are
-loaded only when some prompt is missing from the cache, and ``logging``
-only when something is logged.
+The wire format is a chat-completions-style JSON body (``messages``,
+``model``, ``temperature``); the reply must carry the completion text
+at ``choices[0].message.content``. Cache entries are keyed by the SHA-256
+of that body, so re-running an unchanged configuration never touches the
+network. A run looks every prompt up first; the HTTP client and the
+stdlib network modules are loaded only when some prompt is missing from
+the cache, and ``logging`` only when something is logged.
 """
 
 from __future__ import annotations
@@ -119,23 +118,33 @@ def _message_json(m: ChatMessage) -> str:
     return f'{{"content": {encode_basestring(m.content)}, "role": {encode_basestring(m.role)}}}'
 
 
+def _closing(model: str, temperature: float) -> str:
+    """The request body after its last message."""
+    return (
+        f'], "model": {json.dumps(model, ensure_ascii=False)}, '
+        f'"temperature": {json.dumps(temperature)}}}'
+    )
+
+
+def request_body(messages: Sequence[ChatMessage], model: str, temperature: float) -> bytes:
+    """The chat-completions request for ``messages``: the UTF-8 of
+    ``json.dumps({"model": model, "temperature": temperature, "messages":
+    [{"role": ..., "content": ...}, ...]}, ensure_ascii=False,
+    sort_keys=True)``. Its SHA-256 is the prompt's ``prompt_hash``."""
+    text = '{"messages": [' + ", ".join(map(_message_json, messages))
+    return (text + _closing(model, temperature)).encode("utf-8")
+
+
 def prompt_hasher(
     head: Sequence[ChatMessage], model: str, temperature: float
 ) -> Callable[[Sequence[ChatMessage]], str]:
     """The ``prompt_hash`` of ``head + rest`` as a function of ``rest``,
     with ``head`` hashed once; ``rest`` must not be empty unless ``head`` is.
-
-    The digest is the SHA-256 of ``json.dumps({"model": model,
-    "temperature": temperature, "messages": [{"role": ..., "content":
-    ...}, ...]}, ensure_ascii=False, sort_keys=True)``.
     """
     opening = hashlib.sha256(
         "".join(['{"messages": [', *(_message_json(m) + ", " for m in head)]).encode("utf-8")
     )
-    closing = (
-        f'], "model": {json.dumps(model, ensure_ascii=False)}, '
-        f'"temperature": {json.dumps(temperature)}}}'
-    )
+    closing = _closing(model, temperature)
 
     def digest(rest: Sequence[ChatMessage]) -> str:
         h = opening.copy()
@@ -146,8 +155,8 @@ def prompt_hasher(
 
 
 def prompt_hash(messages: Sequence[ChatMessage], model: str, temperature: float) -> str:
-    """Stable digest of a prompt: message list plus model and temperature."""
-    return prompt_hasher((), model, temperature)(messages)
+    """Stable digest of a prompt: the SHA-256 of its ``request_body``."""
+    return hashlib.sha256(request_body(messages, model, temperature)).hexdigest()
 
 
 _INDEX_VERSION = 3
@@ -496,12 +505,7 @@ class ChatClient:
                 conn.close()
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
-        body = {
-            "model": self.config.model,
-            "messages": [{"role": m.role, "content": m.content} for m in messages],
-            "temperature": self.config.temperature,
-        }
-        payload = json.dumps(body).encode("utf-8")
+        payload = request_body(messages, self.config.model, self.config.temperature)
         headers = dict(self._headers)
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
@@ -681,24 +685,20 @@ def _request(
 
 
 def export_hypotheses(records: Sequence[RunRecord], corpus_order: Sequence[str]) -> str:
-    """Render records as a hypothesis file: one line per entry, in corpus
-    order, blank for failed or unparseable entries. The i-th entry with an
-    id takes the i-th record with that id."""
-    by_id: dict[str, list[RunRecord]] = {}
-    for r in reversed(records):
-        by_id.setdefault(r.entry_id, []).append(r)
-    lines = []
-    for entry_id in corpus_order:
-        pending = by_id.get(entry_id)
-        if not pending:
-            raise NeoGateError(f"no run record for entry {entry_id}")
-        record = pending.pop()
-        lines.append(hypothesis_line(record.translation if record.outcome == "ok" else None))
-    return "\n".join(lines) + "\n"
+    """Render records as a hypothesis file, blank for failed or unparseable
+    entries. The i-th record must be the i-th entry's, as ``run_corpus``
+    returns them."""
+    for i, entry_id in enumerate(corpus_order):
+        if i == len(records) or records[i].entry_id != entry_id:
+            raise NeoGateError(f"no run record for entry {entry_id} at position {i + 1}")
+    if len(records) != len(corpus_order):
+        raise NeoGateError(f"{len(records)} run records for {len(corpus_order)} entries")
+    return hypothesis_file(r.translation if r.outcome == "ok" else None for r in records)
 
 
-def hypothesis_line(translation: str | None) -> str:
-    """A translation as one hypothesis-file line: its lines joined by
+def hypothesis_file(translations: Iterable[str | None]) -> str:
+    """The hypothesis file of ``translations``: one line each, ending in
+    ``\\n``, blank for None. A translation's own lines are joined by
     spaces, so that no line break ``str.splitlines`` knows (``\\r``,
-    ``\\u2028``, ...) splits it when the file is read back; None is blank."""
-    return " ".join((translation or "").splitlines())
+    ``\\u2028``, ...) splits it when the file is read back."""
+    return "".join(" ".join((t or "").splitlines()) + "\n" for t in translations)

@@ -153,17 +153,19 @@ class _EchoHandler(BaseHTTPRequestHandler):
     ``server.script`` can hold a list of HTTP status codes to emit before
     behaving normally, with ``"garbage"`` for a body that is not JSON and
     ``"null"`` for a null ``content``; every request increments
-    ``server.calls``. Each request runs on its own thread, so the count is
+    ``server.calls`` and appends its raw body to ``server.bodies``. Each request runs on its own thread, so the count is
     kept under a lock.
     """
 
     def do_POST(self):  # noqa: N802 (http.server API)
         server = self.server
+        length = int(self.headers.get("Content-Length", 0))
+        raw = self.rfile.read(length)
         with server.lock:
             server.calls += 1
+            server.bodies.append(raw)
         server.last_auth = self.headers.get("Authorization")
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
+        body = json.loads(raw) if length else {}
         if server.script:
             status = server.script.pop(0)
             if status in ("garbage", "null"):
@@ -199,6 +201,7 @@ class _EchoHandler(BaseHTTPRequestHandler):
 def echo_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _EchoHandler)
     server.calls = 0
+    server.bodies = []
     server.lock = threading.Lock()
     server.script = []
     server.last_auth = None

@@ -140,15 +140,25 @@ def failure_case(case, corpus_file, tmp_path, request) -> tuple[list[str], str]:
         "malformed-row": row.rpartition("\t")[0],
         "unknown-tag": row.replace("<DARTS>;", "<XYZ>;"),
         "bad-anchor": row.replace("<DARTS>;", "<DARTS> direttore=x;"),
+        "unmapped-reference-tag": row.replace("<DARTS> direttor", "<XYZ> direttor"),
     }
     if case in rows:
         bad.write_text(f"{HEADER_LINE}\n{rows[case]}\n", encoding="utf-8")
-        return ["stats", f"--corpus={bad}"], {
+        # parsing checks the annotation's tags only; adapting the
+        # reference finds the other one
+        command = "adapt" if case == "unmapped-reference-tag" else "stats"
+        return [command, f"--corpus={bad}"], {
             "malformed-row": "line 2: expected 6 columns, got 5",
             "unknown-tag": "line 2 (entry 0001): tag <XYZ> is not in the tagset",
             "bad-anchor": "line 2 (entry 0001): anchor distance 'x' in "
             "'il la <DARTS> direttore=x' is not a positive integer",
+            "unmapped-reference-tag": "entry 0001: tag <XYZ> has no replacement in paradigm "
+            "'asterisk'",
         }[case]
+    if case == "unknown-paradigm":
+        return ["adapt", f"--corpus={corpus_file}", "--paradigm=bogus"], (
+            "unknown built-in paradigm 'bogus'; available: asterisk, schwa"
+        )
     asterisk = resources.files("neogate.data").joinpath("asterisk.map").read_text("utf-8")
     if case == "mapping-lacks-tag":
         bad.write_text(asterisk.replace("PREPsuP\tsull*\n", ""), encoding="utf-8")
@@ -180,8 +190,9 @@ def failure_case(case, corpus_file, tmp_path, request) -> tuple[list[str], str]:
 
 @pytest.mark.parametrize(
     "case",
-    ["malformed-row", "unknown-tag", "bad-anchor", "mapping-lacks-tag", "italian-marker",
-     "empty-dev-corpus", "corrupt-cache-line", "rejected-credentials"],
+    ["malformed-row", "unknown-tag", "bad-anchor", "unmapped-reference-tag", "unknown-paradigm",
+     "mapping-lacks-tag", "italian-marker", "empty-dev-corpus", "corrupt-cache-line",
+     "rejected-credentials"],
 )
 def test_input_failures_exit_1_with_one_error_line(case, corpus_file, tmp_path, request, capsys):
     argv, message = failure_case(case, corpus_file, tmp_path, request)
@@ -448,26 +459,33 @@ def test_extract_uses_the_records_of_its_model(corpus_file, tmp_path, monkeypatc
     assert f"entry 0001 (prompt hash {prompt_key(argv, EXAMPLE_SOURCE)})" in capsys.readouterr().err
 
 
+def config_spellings(path) -> list[list[str]]:
+    """``--config`` and the abbreviations argparse takes for it."""
+    return [["--config", str(path)], ["--conf", str(path)], [f"--c={path}"]]
+
+
 def test_run_and_config_precedence(corpus_file, tmp_path, echo_server, capsys):
     config = tmp_path / "run.conf"
     config.write_text(
-        f"endpoint={echo_server.url}\nmodel=config-model\ntemperature=0.5\n",
+        f"# shared settings\n\nendpoint={echo_server.url}\n  # the model\nmodel=config-model\n"
+        "temperature=0.5\n",
         encoding="utf-8",
     )
-    out_dir = tmp_path / "run-out"
-    code = dispatch(
-        ["--config", str(config), "run", "--corpus", str(corpus_file),
-         "--paradigm", "asterisk", "--model", "flag-model", "--out", str(out_dir)]
-    )
-    assert code == 0
-    hyp = (out_dir / "hypotheses.txt").read_text(encoding="utf-8")
-    assert hyp == "The department chair said they might hire new professors\n"
-    manifest = parse_kv((out_dir / "manifest.kv").read_text(encoding="utf-8"))
-    assert manifest["model"] == "flag-model"  # flag beats config
-    assert manifest["temperature"] == "0.5"  # config beats default
-    cache_lines = (out_dir / "cache.jsonl").read_text(encoding="utf-8").splitlines()
-    assert len(cache_lines) == 1
-    assert json.loads(cache_lines[0])["model"] == "flag-model"
+    for i, spelling in enumerate(config_spellings(config)):
+        out_dir = tmp_path / f"run-out-{i}"
+        code = dispatch(
+            [*spelling, "run", "--corpus", str(corpus_file),
+             "--paradigm", "asterisk", "--model", "flag-model", "--out", str(out_dir)]
+        )
+        assert code == 0
+        hyp = (out_dir / "hypotheses.txt").read_text(encoding="utf-8")
+        assert hyp == "The department chair said they might hire new professors\n"
+        manifest = parse_kv((out_dir / "manifest.kv").read_text(encoding="utf-8"))
+        assert manifest["model"] == "flag-model"  # flag beats config
+        assert manifest["temperature"] == "0.5"  # config beats default
+        cache_lines = (out_dir / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(cache_lines) == 1
+        assert json.loads(cache_lines[0])["model"] == "flag-model"
 
 
 def test_reply_without_string_content_fails_uncached(corpus_file, tmp_path, echo_server, capsys):
@@ -503,6 +521,23 @@ def test_repeated_entry_id_keeps_each_entry_on_its_line(tmp_path, monkeypatch):
     assert extracted.read_bytes() == hyp
 
 
+def test_header_only_corpus_gives_an_empty_hypothesis_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(runner, "ChatClient", FakeClient)
+    corpus = tmp_path / "empty.tsv"
+    corpus.write_text(HEADER_LINE + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [f"--corpus={corpus}", "--model=m"]
+    assert dispatch(["run", *argv, UNUSED_ENDPOINT, f"--out={out}"]) == 0
+    assert (out / "hypotheses.txt").read_bytes() == b""
+    extracted = tmp_path / "extracted.txt"
+    cache = f"--cache={out / 'cache.jsonl'}"
+    assert dispatch(["extract", *argv, cache, f"--out-file={extracted}"]) == 0
+    assert extracted.read_bytes() == b""
+    capsys.readouterr()
+    assert dispatch(["evaluate", f"--corpus={corpus}", f"--hyp={extracted}"]) == 1
+    assert capsys.readouterr().err == "error: cannot compute metrics over zero annotations\n"
+
+
 def test_config_bad_value_is_usage_error(corpus_file, tmp_path, capsys):
     config = tmp_path / "bad.conf"
     for line, flag in (("retries=abc", "--retries"), ("format=bogus", "--format")):
@@ -536,8 +571,18 @@ def test_run_rejects_out_of_range_retries_and_timeout(setting, source, corpus_fi
 def test_config_unknown_key_is_usage_error(corpus_file, tmp_path, capsys):
     config = tmp_path / "typo.conf"
     config.write_text("modle=x\n", encoding="utf-8")
-    assert dispatch(["--config", str(config), "stats", "--corpus", str(corpus_file)]) == 2
-    assert "usage error: unknown config key modle" in capsys.readouterr().err
+    for spelling in config_spellings(config):
+        assert dispatch([*spelling, "stats", "--corpus", str(corpus_file)]) == 2
+        assert "usage error: unknown config key modle" in capsys.readouterr().err
+
+
+def test_argv_errors_come_before_config_file_errors(tmp_path, capsys):
+    config = tmp_path / "typo.conf"
+    config.write_text("modle=x\n", encoding="utf-8")
+    assert dispatch(["--config", str(config), "stats", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    missing = tmp_path / "nonexistent.conf"
+    assert dispatch(["--config", str(missing), "stats", "--bogus"]) == 2
 
 
 def test_config_keys_of_other_subcommands_allowed(corpus_file, tmp_path, capsys):

@@ -71,6 +71,10 @@ def test_parse_annotation_rejects_bad_anchors(tagset):
     with pytest.raises(NeoGateError, match="content triplet .* carries an anchor"):
         # anchors belong to function words only
         parse_annotation("amico amica amic<ENDS> amic=1;", tagset)
+    with pytest.raises(NeoGateError, match="'il la <DARTS> stem' has 4 forms and no anchor"):
+        parse_annotation("il la <DARTS> stem;", tagset)
+    with pytest.raises(NeoGateError, match="empty anchor string in 'il la <DARTS> =1'"):
+        parse_annotation("il la <DARTS> =1;", tagset)
 
 
 def test_parse_annotation_rejects_unknown_and_tagless(tagset):
@@ -99,9 +103,10 @@ def test_parse_corpus_structural_errors(tagset, tmp_path):
         parse_corpus("WRONG\tHEADER\n", tagset)
     with pytest.raises(NeoGateError, match="line 2: expected 6 columns, got 3"):
         parse_corpus(HEADER_LINE + "\nonly\tthree\tcolumns\n", tagset)
-    row = "\t".join(("e1", "src", "ref m", "ref f", "ref <DARTS>", " "))
-    with pytest.raises(NeoGateError, match=r"line 2 \(entry e1\): empty annotation"):
-        parse_corpus(HEADER_LINE + "\n" + row + "\n", tagset)
+    for annotation in (" ", "", "; ;"):
+        row = "\t".join(("e1", "src", "ref m", "ref f", "ref <DARTS>", annotation))
+        with pytest.raises(NeoGateError, match=r"line 2 \(entry e1\): empty annotation"):
+            parse_corpus(HEADER_LINE + "\n" + row + "\n", tagset)
     with pytest.raises(NeoGateError, match="corpus is not valid UTF-8"):
         parse_corpus(EXAMPLE_CORPUS_TEXT.encode("utf-16"), tagset)
     utf16 = tmp_path / "utf16.tsv"
@@ -124,6 +129,13 @@ def test_round_trip_full_split(tagset, test_split):
 def test_parse_tolerates_crlf_and_bom(tagset, example_corpus):
     windowsish = "﻿" + EXAMPLE_CORPUS_TEXT.replace("\n", "\r\n")
     assert parse_corpus(windowsish, tagset) == example_corpus
+
+
+def test_blank_lines_inside_a_corpus_are_skipped(tagset, example_corpus):
+    row = EXAMPLE_CORPUS_TEXT.splitlines()[1]
+    text = EXAMPLE_CORPUS_TEXT + "\n \t\n" + row.replace("0001", "0002", 1) + "\n"
+    entries = parse_corpus(text, tagset)
+    assert entries == [example_corpus[0], example_corpus[0]._replace(entry_id="0002")]
 
 
 def test_parse_errors_carry_entry_context(tagset):
@@ -185,6 +197,12 @@ def test_validation_warns_on_missing_anchor(example_corpus):
     assert [i.severity for i in issues] == ["warning"]
     assert "anchor" in issues[0].message
     assert issues[0].render().startswith("warning\t0001\t")
+
+
+def test_validation_flags_a_duplicate_entry_id(example_corpus):
+    issues = validate_corpus(example_corpus * 2)
+    errors = [i for i in issues if i.severity == "error"]
+    assert errors == [("0001", "error", "duplicate entry id", "ID")]
 
 
 def test_bundled_splits_validate_cleanly(test_split, dev_split):
@@ -257,3 +275,11 @@ def test_aligned_tag_labels(tagset):
     assert len(la) == len(lb) == 4
     assert la.count("ENDP") == 2 and lb.count("ENDP") == 1
     assert cohen_kappa(la, lb) < 1.0
+
+
+def test_aligned_tag_labels_skip_entries_missing_from_the_second_pass(tagset):
+    row = EXAMPLE_CORPUS_TEXT.splitlines()[1]
+    both = parse_corpus(EXAMPLE_CORPUS_TEXT + row.replace("0001", "0002", 1) + "\n", tagset)
+    la, lb = aligned_tag_labels(both, both[1:])
+    assert la == lb == [t.tag for t in both[1].triplets]
+    assert aligned_tag_labels(both, []) == ([], [])

@@ -51,7 +51,9 @@ def test_tagset_definition_checks_its_tags_and_is_immutable(tagset):
     with pytest.raises(AttributeError):
         tagset.tags = ()
     assert TagsetDefinition(tagset.tags) == tagset
+    assert tagset != tagset.tags and tagset.__eq__(tagset.tags) is NotImplemented
     assert hash(TagsetDefinition(tagset.tags)) == hash(tagset)
+    assert repr(TagsetDefinition((ends,))) == f"TagsetDefinition(tags=({ends!r},))"
     assert pickle.loads(pickle.dumps(tagset)) == copy.copy(tagset) == tagset
 
 
@@ -109,6 +111,19 @@ def test_parse_mapping_illegal_marker(tagset):
     text = text.replace("x*", "xa")
     with pytest.raises(NeoGateError, match="marker 'a' is an Italian-alphabet letter"):
         parse_mapping(text, tagset)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (("!name custom", "!nome custom"), "line 1: unknown directive '!nome'"),
+        (("DARTS\t", "DARTS "), r"line \d+: expected TAG<TAB>REPLACEMENT"),
+        (("!marker-plural *", "!marker-plural **"), "marker-plural must be exactly one character"),
+    ],
+)
+def test_parse_mapping_rejects_malformed_lines(edit, message, tagset):
+    with pytest.raises(NeoGateError, match=message):
+        parse_mapping(_mapping_text().replace(*edit), tagset)
 
 
 def test_parse_mapping_unknown_tag(tagset):

@@ -50,6 +50,7 @@ from neogate.runner import (
     RunRecord,
     export_hypotheses,
     prompt_hasher,
+    request_body,
     run_corpus,
 )
 
@@ -114,9 +115,9 @@ def test_prompt_hash_stability_and_sensitivity():
     assert first != prompt_hash(messages, "model-x", 0.7)
 
 
-def old_prompt_hash(messages, model, temperature) -> str:
-    """The digest formula the cache files on disk were keyed with."""
-    payload = json.dumps(
+def old_request_body(messages, model, temperature) -> bytes:
+    """The text whose SHA-256 keyed the cache files on disk."""
+    return json.dumps(
         {
             "model": model,
             "temperature": temperature,
@@ -124,8 +125,7 @@ def old_prompt_hash(messages, model, temperature) -> str:
         },
         ensure_ascii=False,
         sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    ).encode("utf-8")
 
 
 MESSAGE_LISTS = st.lists(
@@ -141,7 +141,9 @@ TEMPERATURES = st.floats() | st.integers(-(2**70), 2**70)
 @example([ChatMessage("user", "")], "modèle", math.nan)
 @example([ChatMessage("user", "")], "m", -math.inf)
 def test_prompt_hash_matches_the_json_dumps_formula(messages, model, temperature):
-    expected = old_prompt_hash(messages, model, temperature)
+    body = old_request_body(messages, model, temperature)
+    assert request_body(messages, model, temperature) == body
+    expected = hashlib.sha256(body).hexdigest()
     assert prompt_hash(messages, model, temperature) == expected
     if messages:
         # what run_corpus does: the head hashed once, then each final message
@@ -244,8 +246,9 @@ def test_cache_corruption_reports_offset(tmp_path):
 
 @pytest.mark.parametrize(
     "line",
-    ["{not json", "5", "[]", '"text"', "null", make_record().to_json().replace("outcome", "result")],
-    ids=["not-json", "number", "list", "string", "null", "missing-field"],
+    ["{not json", "5", "[]", '"text"', "null", make_record().to_json().replace("outcome", "result"),
+     make_record().to_json().replace('"prompt_hash": "k1"', '"prompt_hash": 1')],
+    ids=["not-json", "number", "list", "string", "null", "missing-field", "hash-not-a-string"],
 )
 def test_cache_checks_every_line_at_load(tmp_path, line):
     path = tmp_path / "cache.jsonl"
@@ -355,6 +358,23 @@ def test_sidecar_whose_index_was_changed_is_not_used(tmp_path):
     cache = JsonlCache(path)
     assert cache.get("k1") == new
     assert len(cache) == 2
+
+
+def test_sidecar_whose_index_is_not_an_object_is_not_used(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    records = [make_record(key="k1"), make_record("e2", "k2", "<two>")]
+    write_lines(path, *records)
+    sidecar = save_sidecar(path)
+    header, _, _ = sidecar.read_bytes().partition(b"\n")
+    saved = json.loads(header)
+    body = b'["k1", 0]'
+    saved["sha256"] = hashlib.sha256(path.read_bytes() + body).hexdigest()
+    sidecar.write_bytes(json.dumps(saved).encode() + b"\n" + body)
+    # the digest matches, so only the index's type rules it out
+    cache = JsonlCache(path)
+    assert cache.get_many(["k1", "k2"]) == dict(zip(["k1", "k2"], records))
+    cache.save_index()  # the full check covered more than the sidecar did
+    assert isinstance(json.loads(sidecar.read_bytes().partition(b"\n")[2]), dict)
 
 
 def test_sidecar_pointing_a_hash_at_another_record_is_caught(tmp_path):
@@ -776,6 +796,15 @@ def test_export_conventions():
         export_hypotheses(records, ["e1", "e2", "e3"])
 
 
+def test_export_pairs_records_with_entries_by_position():
+    records = [make_record("e1", "k1", "<a>"), make_record("e2", "k2", "<b>")]
+    with pytest.raises(NeoGateError, match="no run record for entry e1 at position 1"):
+        export_hypotheses(records[::-1], ["e1", "e2"])
+    with pytest.raises(NeoGateError, match="2 run records for 1 entries"):
+        export_hypotheses(records, ["e1"])
+    assert export_hypotheses([], []) == ""
+
+
 def test_export_flattens_newlines():
     record = make_record("e1", "k1", raw="<due\nrighe>")
     assert export_hypotheses([record], ["e1"]) == "due righe\n"
@@ -827,6 +856,26 @@ def test_api_key_header(echo_server, small_corpus, zero_spec, tmp_path, monkeypa
     config = ClientConfig(endpoint=echo_server.url, model="echo")
     run_corpus(small_corpus[:1], zero_spec, config, tmp_path / "c.jsonl")
     assert echo_server.last_auth == "Bearer sekret"
+
+
+def test_request_bodies_are_what_the_cache_keys_hash(
+    echo_server, small_corpus, zero_spec, asterisk, tmp_path
+):
+    model = "modèle-ü"
+    path = tmp_path / "c.jsonl"
+    config = ClientConfig(endpoint=echo_server.url, model=model, temperature=0.5)
+    adapted = {a.entry_id: a.ref_adapted for a in adapt_corpus(small_corpus, asterisk)}
+    one_shot = PromptSpec(PromptFormat.DIRECT, 1, asterisk, ("e1",))
+    run_corpus(small_corpus, zero_spec, config, path)
+    exemplars = exemplars_from_corpus(small_corpus, adapted, ("e1",))
+    run_corpus(small_corpus, one_shot, config, path, exemplars)
+    assert len(echo_server.bodies) == 6
+    records = JsonlCache(path).records()
+    assert sorted(hashlib.sha256(b).hexdigest() for b in echo_server.bodies) == sorted(
+        r.prompt_hash for r in records
+    )
+    for body in echo_server.bodies:
+        assert f'"model": "{model}"'.encode() in body  # UTF-8, not \u escapes
 
 
 def test_rate_limit_spaces_requests(echo_server, small_corpus, zero_spec, tmp_path):
@@ -943,6 +992,31 @@ def test_an_error_on_a_helper_thread_stops_the_run_and_it_resumes(
         e.source for e in wide_corpus if e.source not in answered
     )
     assert [r.translation for r in records] == [e.source for e in wide_corpus]
+
+
+def test_a_helper_that_fails_to_start_stops_the_run(wide_corpus, zero_spec, tmp_path, monkeypatch):
+    start = threading.Thread.start
+    started = []
+
+    def start_one(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    path = tmp_path / "c.jsonl"
+    client = EchoClient(delay=lambda: 0.005)
+    config = ClientConfig(endpoint="http://127.0.0.1:9/v1", model="m", concurrency=3)
+    threads = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", start_one)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        run_corpus(wide_corpus, zero_spec, config, path, client=client)
+    monkeypatch.undo()
+    assert len(started) == 1
+    assert threading.active_count() == threads  # the helper that started was joined
+    cached = JsonlCache(path).records()
+    assert sorted(r.translation for r in cached) == sorted(client.sources)
+    assert len(client.sources) < len(wide_corpus)
 
 
 def test_an_interrupt_of_the_calling_thread_stops_the_helpers(wide_corpus, zero_spec, tmp_path):
@@ -1089,6 +1163,16 @@ def test_http_proxy_gets_absolute_uri(keepalive_server, no_proxy_env, new_client
     assert path == "http://neogate.invalid/v1/chat"
     assert headers["Host"] == "neogate.invalid"
     assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+
+
+def test_a_proxy_without_a_scheme_is_taken_as_http(keepalive_server, no_proxy_env, new_client):
+    port = keepalive_server.server_address[1]
+    no_proxy_env.setenv("http_proxy", f"127.0.0.1:{port}")
+    client = new_client(endpoint="http://neogate.invalid/v1/chat")
+    assert client.complete(MESSAGES) == "<ok>"
+    [(path, headers)] = keepalive_server.requests
+    assert path == "http://neogate.invalid/v1/chat"
+    assert "Proxy-Authorization" not in headers
 
 
 def test_https_proxy_gets_connect(keepalive_server, no_proxy_env, new_client):
