@@ -84,15 +84,17 @@ class RunManifest(NamedTuple):
 
 
 def parse_kv(text: str) -> dict[str, str]:
-    """Parse a flat key=value document, such as a ``--config`` file."""
+    """Parse a flat key=value document, such as a ``--config`` file; a line
+    that is not blank, a ``#`` comment or key=value is a ``UsageError``."""
     values: dict[str, str] = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        if sep:
-            values[key.strip()] = value.strip()
+        if not sep:
+            raise UsageError(f"config line {number} is not key=value: {line!r}")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -167,8 +169,7 @@ def _build_spec(
     ids = tuple(x for x in args.exemplars.split(",") if x)
     dev = None
     if fmt is not PromptFormat.ZERO_SHOT:
-        if not args.dev_corpus:
-            raise NeoGateError("few-shot formats require --dev-corpus for exemplars")
+        _require(args, "dev-corpus")
         dev = load_corpus(args.dev_corpus, tagset)
         ids = ids or tuple(rank_exemplar_candidates(dev)[: args.shots])
     try:

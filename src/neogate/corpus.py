@@ -121,8 +121,10 @@ def serialize_annotation(triplets: tuple[Triplet, ...] | list[Triplet]) -> str:
 
 
 def _decode(raw: bytes, name) -> str:
+    """The UTF-8 text of an input file's bytes, without a leading BOM; bytes
+    that do not decode are a data error that names the file."""
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise NeoGateError(f"{name} is not valid UTF-8: {exc}") from exc
 
@@ -182,8 +184,6 @@ def serialize_corpus(corpus: list[Entry], header: tuple[str, ...] = HEADER) -> s
 
 
 def _read_text(path) -> str:
-    """The UTF-8 text of an input file; one that does not decode is a data
-    error that names it."""
     return _decode(Path(path).read_bytes(), path)
 
 

@@ -416,9 +416,9 @@ def _split_url(url: str, schemes: tuple[str, ...], what: str):
 class ChatClient:
     """Minimal chat-completions client with bounded retries.
 
-    Each thread that calls ``complete`` keeps one persistent connection to
-    the endpoint, or to the proxy that ``HTTP(S)_PROXY``/``NO_PROXY`` name
-    for it; the proxy is resolved once, here. Redirects are not followed.
+    The proxy that ``HTTP(S)_PROXY``/``NO_PROXY`` name and the headers, with
+    the ``NEOGATE_API_KEY`` credential, are settled once, here. Each calling
+    thread keeps one connection to the endpoint or proxy; no redirects.
     """
 
     def __init__(self, config: ClientConfig):
@@ -454,6 +454,13 @@ class ChatClient:
                 self._target = urlunsplit(url._replace(fragment=""))
                 self._headers.update(proxy_headers)
             address = (parsed.hostname, proxy_port)
+        # what http.client cannot send fails here, before any request
+        if not self._target.isascii():
+            raise NeoGateError(f"endpoint request target is not ASCII: {self._target!r}")
+        if api_key := os.environ.get(API_KEY_ENV):
+            if "\r" in api_key or "\n" in api_key or max(api_key) > "\xff":
+                raise NeoGateError(f"{API_KEY_ENV} holds a line break or a non-Latin-1 character")
+            self._headers["Authorization"] = f"Bearer {api_key}"
         if https:
             self._new_connection = partial(
                 http.client.HTTPSConnection,
@@ -481,7 +488,7 @@ class ChatClient:
                 self._connections.append(conn)
         return conn
 
-    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+    def _post(self, body: bytes) -> tuple[int, bytes]:
         """POST on this thread's connection (``connect`` sets TCP_NODELAY).
         When the server has closed a reused keep-alive connection, the
         request is sent once more on a new one."""
@@ -489,11 +496,11 @@ class ChatClient:
         reused = conn.sock is not None
         while True:
             try:
-                conn.request("POST", self._target, body, headers)
+                conn.request("POST", self._target, body, self._headers)
                 response = conn.getresponse()
                 return response.status, response.read()
-            except self._errors as exc:
-                conn.close()  # the next request opens a new connection
+            except BaseException as exc:
+                conn.close()  # after any failure, the next request opens a new one
                 if not (reused and isinstance(exc, ConnectionError)):
                     raise
                 reused = False
@@ -505,36 +512,27 @@ class ChatClient:
                 conn.close()
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
-        payload = request_body(messages, self.config.model, self.config.temperature)
-        headers = dict(self._headers)
-        api_key = os.environ.get(API_KEY_ENV)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
+        """The reply's content. A failed attempt (network error, status other
+        than 200, no string content) is logged and retried ``max_retries``
+        times, then ``NetworkError`` is raised; a 401/403 raises at once."""
+        body = request_body(messages, self.config.model, self.config.temperature)
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
                 time.sleep(min(2.0, 0.1 * 2 ** attempt))
             try:
-                status, data = self._post(payload, headers)
-            except self._errors as exc:
-                last_error = exc
-                _logger().warning("request failed (attempt %d): %s", attempt + 1, exc)
-                continue
-            if status in (401, 403):
-                raise NeoGateError(f"endpoint rejected credentials ({status})")
-            if status != 200:
-                last_error = NetworkError(f"HTTP {status}")
-                _logger().warning("HTTP %d (attempt %d)", status, attempt + 1)
-                continue
-            try:
+                status, data = self._post(body)
+                if status in (401, 403):
+                    raise NeoGateError(f"endpoint rejected credentials ({status})")
+                if status != 200:
+                    raise NetworkError(f"HTTP {status}")
                 content = json.loads(data)["choices"][0]["message"]["content"]
                 if not isinstance(content, str):  # null for a refusal or a tool call
                     raise TypeError(f"content is {type(content).__name__}, not a string")
                 return content
-            except (ValueError, LookupError, TypeError) as exc:
+            except (*self._errors, NetworkError, ValueError, LookupError, TypeError) as exc:
                 last_error = exc
-                _logger().warning("malformed response body (attempt %d): %s", attempt + 1, exc)
-                continue
+                _logger().warning("attempt %d failed: %r", attempt + 1, exc)
         raise NetworkError(f"retries exhausted: {last_error}")
 
 

@@ -132,6 +132,32 @@ def test_non_utf8_input_file_exits_1(flag, corpus_file, tmp_path, capsys):
     assert str(latin1) in err  # the line says which file it was
 
 
+@pytest.mark.parametrize("command", ["kappa", "mapping", "config"])
+def test_a_leading_bom_is_ignored_in_every_input_file(command, corpus_file, tmp_path, capsys):
+    def with_bom(name: str, text: str) -> Path:
+        path = tmp_path / name
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        return path
+
+    if command == "kappa":
+        labels = tmp_path / "labels.txt"
+        labels.write_text("A\nB\n", encoding="utf-8")
+        bom = with_bom("bom.txt", "A\nB\n")
+        assert dispatch(["kappa", f"--labels-a={labels}", f"--labels-b={bom}"]) == 0
+        assert capsys.readouterr().out == "kappa=1.000000\n"
+        return
+    if command == "mapping":
+        schwa = resources.files("neogate.data").joinpath("schwa.map").read_text("utf-8")
+        argv = ["adapt", f"--corpus={corpus_file}", f"--mapping={with_bom('schwa.map', schwa)}"]
+    else:
+        argv = [f"--config={with_bom('run.conf', 'paradigm=schwa')}", "adapt",
+                f"--corpus={corpus_file}"]
+    assert dispatch(["adapt", f"--corpus={corpus_file}", "--paradigm=schwa"]) == 0
+    expected = capsys.readouterr().out
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def failure_case(case, corpus_file, tmp_path, request) -> tuple[list[str], str]:
     """The argv of one way a command fails on its input, and its ``error:`` line."""
     row = EXAMPLE_CORPUS_TEXT.splitlines()[1]
@@ -297,9 +323,9 @@ def test_prompt_few_shot_requires_dev(corpus_file, capsys):
         dispatch(
             ["prompt", "--corpus", str(corpus_file), "--format", "direct", "--shots", "1"]
         )
-        == 1
+        == 2
     )
-    assert "dev-corpus" in capsys.readouterr().err
+    assert capsys.readouterr().err == "usage error: missing --dev-corpus\n"
 
 
 def test_evaluate_self_adapted_reference(corpus_file, tmp_path, capsys):
@@ -488,6 +514,27 @@ def test_run_and_config_precedence(corpus_file, tmp_path, echo_server, capsys):
         assert json.loads(cache_lines[0])["model"] == "flag-model"
 
 
+@pytest.mark.parametrize(
+    "key, path, message",
+    [
+        ("ab\ncd", "/v1", "NEOGATE_API_KEY holds a line break or a non-Latin-1 character"),
+        ("key€", "/v1", "NEOGATE_API_KEY holds a line break or a non-Latin-1 character"),
+        ("k", "/v1/modèle", "endpoint request target is not ASCII: '/v1/modèle'"),
+    ],
+    ids=["key-line-break", "key-not-latin-1", "target-not-ascii"],
+)
+def test_what_http_client_cannot_send_stops_the_run_before_any_request(
+    key, path, message, corpus_file, tmp_path, echo_server, monkeypatch, capsys
+):
+    monkeypatch.setenv("NEOGATE_API_KEY", key)
+    endpoint = echo_server.url.replace("/v1/chat/completions", path)
+    argv = ["run", f"--corpus={corpus_file}", "--model=m", f"--endpoint={endpoint}",
+            f"--out={tmp_path / 'out'}"]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert echo_server.calls == 0
+
+
 def test_reply_without_string_content_fails_uncached(corpus_file, tmp_path, echo_server, capsys):
     out = tmp_path / "out"
     argv = ["run", f"--corpus={corpus_file}", "--model=m", f"--endpoint={echo_server.url}",
@@ -540,10 +587,14 @@ def test_header_only_corpus_gives_an_empty_hypothesis_file(tmp_path, monkeypatch
 
 def test_config_bad_value_is_usage_error(corpus_file, tmp_path, capsys):
     config = tmp_path / "bad.conf"
-    for line, flag in (("retries=abc", "--retries"), ("format=bogus", "--format")):
-        config.write_text(line + "\n", encoding="utf-8")
+    for line, named in (
+        ("retries=abc", "--retries"),
+        ("format=bogus", "--format"),
+        ("paradigm schwa", "usage error: config line 2 is not key=value: 'paradigm schwa'"),
+    ):
+        config.write_text("# a comment\n" + line + "\n", encoding="utf-8")
         assert dispatch(["--config", str(config), "run", "--corpus", str(corpus_file)]) == 2
-        assert flag in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

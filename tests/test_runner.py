@@ -735,6 +735,25 @@ def test_malformed_body_is_retried(echo_server, small_corpus, zero_spec, tmp_pat
     assert echo_server.calls == 2
 
 
+def test_each_failed_attempt_logs_one_warning_with_its_cause(
+    echo_server, small_corpus, zero_spec, tmp_path, monkeypatch, caplog
+):
+    echo_server.script = [500, "garbage", "null"]
+    sleeps = []
+    monkeypatch.setattr(runner.time, "sleep", sleeps.append)
+    config = ClientConfig(endpoint=echo_server.url, model="echo", max_retries=3)
+    with caplog.at_level(logging.WARNING, logger="neogate.runner"):
+        records = run_corpus(small_corpus[:1], zero_spec, config, tmp_path / "c.jsonl")
+    assert [r.outcome for r in records] == ["ok"]
+    assert echo_server.calls == 4
+    assert sleeps == [0.2, 0.4, 0.8]
+    assert [r.getMessage() for r in caplog.records] == [
+        "attempt 1 failed: NetworkError('HTTP 500')",
+        "attempt 2 failed: JSONDecodeError('Expecting value: line 1 column 1 (char 0)')",
+        "attempt 3 failed: TypeError('content is NoneType, not a string')",
+    ]
+
+
 def test_auth_error_aborts(echo_server, small_corpus, zero_spec, tmp_path):
     echo_server.script = [401]
     config = ClientConfig(endpoint=echo_server.url, model="echo")
@@ -852,10 +871,12 @@ def test_temperature_defaults_to_zero():
 
 
 def test_api_key_header(echo_server, small_corpus, zero_spec, tmp_path, monkeypatch):
-    monkeypatch.setenv("NEOGATE_API_KEY", "sekret")
     config = ClientConfig(endpoint=echo_server.url, model="echo")
-    run_corpus(small_corpus[:1], zero_spec, config, tmp_path / "c.jsonl")
-    assert echo_server.last_auth == "Bearer sekret"
+    # http.server reads header bytes as Latin-1, so a match is byte for byte
+    for key in ("sekret", "clé"):
+        monkeypatch.setenv("NEOGATE_API_KEY", key)
+        run_corpus(small_corpus[:1], zero_spec, config, tmp_path / f"{key}.jsonl")
+        assert echo_server.last_auth == f"Bearer {key}"
 
 
 def test_request_bodies_are_what_the_cache_keys_hash(
@@ -1152,6 +1173,31 @@ def test_server_closed_keepalive_is_not_a_failed_attempt(
             assert keepalive_server.closed.acquire(timeout=5)
     assert caplog.records == []
     assert keepalive_server.connections == 3
+
+
+class _RefusedOnce:
+    """A header value that ``http.client`` fails to encode the first time."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def encode(self, encoding: str) -> bytes:
+        self.calls += 1
+        if self.calls == 1:
+            raise ValueError("refused once")
+        return b"v"
+
+
+def test_an_attempt_that_raises_mid_request_leaves_no_stuck_connection(
+    keepalive_server, no_proxy_env, new_client, monkeypatch
+):
+    monkeypatch.setattr(runner.time, "sleep", lambda seconds: None)
+    client = new_client(endpoint=keepalive_server.url, max_retries=1)
+    client._headers["X-Check"] = _RefusedOnce()
+    # the first attempt raises inside conn.request; the retry must not
+    # meet that connection's half-sent request ("Request-started")
+    assert client.complete(MESSAGES) == "<ok>"
+    assert len(keepalive_server.requests) == 1
 
 
 def test_http_proxy_gets_absolute_uri(keepalive_server, no_proxy_env, new_client):
