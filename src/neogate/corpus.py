@@ -71,43 +71,57 @@ class ValidationIssue(NamedTuple):
         return f"{self.severity}\t{self.entry_id}\t{self.location}\t{self.message}"
 
 
-def parse_annotation(ann: str, tagset: TagsetDefinition) -> list[Triplet]:
-    """Parse one annotation column into triplets, in source order."""
+def _parse_chunk(chunk: str, tagset: TagsetDefinition) -> Triplet:
+    """Parse one stripped, non-empty annotation chunk."""
+    parts = chunk.split(" ")
+    anchor = None
+    if len(parts) == 4:
+        anchor_part = parts.pop()
+        text, sep, dist = anchor_part.rpartition("=")
+        if not sep:
+            raise NeoGateError(f"triplet {chunk!r} has 4 forms and no anchor")
+        if not text:
+            raise NeoGateError(f"empty anchor string in {chunk!r}")
+        if not dist.isdigit() or int(dist) < 1:
+            raise NeoGateError(
+                f"anchor distance {dist!r} in {chunk!r} is not a positive integer"
+            )
+        anchor = Anchor(text, int(dist))
+    if len(parts) != 3:
+        raise NeoGateError(f"triplet {chunk!r} has {len(parts)} forms, expected 3")
+    masc, fem, tagged = parts
+    # a tag needs a "<"; most gendered forms have none
+    if ("<" in masc and TAG_RE.search(masc)) or ("<" in fem and TAG_RE.search(fem)):
+        raise NeoGateError(f"gendered forms in {chunk!r} must not contain tags")
+    tags_in_form = TAG_RE.findall(tagged)
+    if len(tags_in_form) != 1:
+        raise NeoGateError(f"tagged form {tagged!r} must contain exactly one tag")
+    tag_name = tags_in_form[0]
+    spec = tagset[tag_name]  # raises on an unknown tag
+    kind = "content" if spec.kind == CONTENT else "function"
+    if anchor is not None and kind == "content":
+        raise NeoGateError(f"content triplet {chunk!r} carries an anchor")
+    return Triplet(masc, fem, tagged, tag_name, kind, spec.number, anchor)
+
+
+def _parse_chunks(ann: str, tagset: TagsetDefinition, memo: dict[str, Triplet]) -> list[Triplet]:
+    """Parse one annotation column, each distinct chunk once per ``memo``:
+    a repeat of a chunk gets the same ``Triplet``, and a chunk that failed
+    was not kept, so it fails again."""
     triplets = []
     for chunk in ann.split(";"):
         chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(" ")
-        anchor = None
-        if len(parts) == 4:
-            anchor_part = parts.pop()
-            text, sep, dist = anchor_part.rpartition("=")
-            if not sep:
-                raise NeoGateError(f"triplet {chunk!r} has 4 forms and no anchor")
-            if not text:
-                raise NeoGateError(f"empty anchor string in {chunk!r}")
-            if not dist.isdigit() or int(dist) < 1:
-                raise NeoGateError(
-                    f"anchor distance {dist!r} in {chunk!r} is not a positive integer"
-                )
-            anchor = Anchor(text, int(dist))
-        if len(parts) != 3:
-            raise NeoGateError(f"triplet {chunk!r} has {len(parts)} forms, expected 3")
-        masc, fem, tagged = parts
-        # a tag needs a "<"; most gendered forms have none
-        if ("<" in masc and TAG_RE.search(masc)) or ("<" in fem and TAG_RE.search(fem)):
-            raise NeoGateError(f"gendered forms in {chunk!r} must not contain tags")
-        tags_in_form = TAG_RE.findall(tagged)
-        if len(tags_in_form) != 1:
-            raise NeoGateError(f"tagged form {tagged!r} must contain exactly one tag")
-        tag_name = tags_in_form[0]
-        spec = tagset[tag_name]  # raises on an unknown tag
-        kind = "content" if spec.kind == CONTENT else "function"
-        if anchor is not None and kind == "content":
-            raise NeoGateError(f"content triplet {chunk!r} carries an anchor")
-        triplets.append(Triplet(masc, fem, tagged, tag_name, kind, spec.number, anchor))
+        if chunk:
+            triplet = memo.get(chunk)
+            if triplet is None:
+                triplet = memo[chunk] = _parse_chunk(chunk, tagset)
+            triplets.append(triplet)
     return triplets
+
+
+def parse_annotation(ann: str, tagset: TagsetDefinition) -> list[Triplet]:
+    """Parse one annotation column into triplets, in source order."""
+    return _parse_chunks(ann, tagset, {})
 
 
 def serialize_annotation(triplets: tuple[Triplet, ...] | list[Triplet]) -> str:
@@ -122,9 +136,10 @@ def serialize_annotation(triplets: tuple[Triplet, ...] | list[Triplet]) -> str:
 
 def _decode(raw: bytes, name) -> str:
     """The UTF-8 text of an input file's bytes, without a leading BOM; bytes
-    that do not decode are a data error that names the file."""
+    that do not decode are a data error that names the file and their
+    offset in it (``utf-8-sig`` would count from after the BOM)."""
     try:
-        return raw.decode("utf-8-sig")
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise NeoGateError(f"{name} is not valid UTF-8: {exc}") from exc
 
@@ -142,6 +157,7 @@ def parse_corpus(raw: bytes | str, tagset: TagsetDefinition) -> list[Entry]:
         raise NeoGateError(
             "missing or wrong header; expected " + "\\t".join(HEADER)
         )
+    chunks: dict[str, Triplet] = {}
     entries = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -153,7 +169,7 @@ def parse_corpus(raw: bytes | str, tagset: TagsetDefinition) -> list[Entry]:
             )
         entry_id, source, ref_masc, ref_fem, ref_tagged, annotation = columns
         try:
-            triplets = parse_annotation(annotation, tagset)
+            triplets = _parse_chunks(annotation, tagset, chunks)
         except NeoGateError as exc:
             raise NeoGateError(f"line {line_no} (entry {entry_id}): {exc}") from exc
         if not triplets:

@@ -123,6 +123,94 @@ def count_neomorphemes(tokens: Sequence[str], markers: Iterable[str]) -> int:
     return sum(1 for t in tokens if any(m in t for m in marker_set))
 
 
+def _prepare(triplet: Triplet) -> tuple:
+    """What matching needs of a triplet: its case-folded forms and their
+    outcomes, its anchor distance and case-folded text (None without an
+    anchor), and its (kind, number)."""
+    # a token equal to two of the forms matches the first of them
+    forms: dict[str, Outcome] = {}
+    forms.setdefault(triplet.tagged_form.casefold(), Outcome.MATCHED_NEO)
+    forms.setdefault(triplet.masc_form.casefold(), Outcome.MATCHED_MASC)
+    forms.setdefault(triplet.fem_form.casefold(), Outcome.MATCHED_FEM)
+    anchor = triplet.anchor
+    if anchor is None:
+        return forms, 0, None, (triplet.kind, triplet.number)
+    return forms, anchor.distance, anchor.text.casefold(), (triplet.kind, triplet.number)
+
+
+def matcher(markers: Iterable[str]) -> Callable[..., EntryEval]:
+    """``match_entry`` with ``markers`` fixed. The returned function keeps
+    what it derives from every triplet (case-folded forms, anchor, class)
+    and every token (case-folded surface, whether it holds a marker) it has
+    seen, so make one per pass over a corpus: both repeat, and the memo goes
+    with the function."""
+    marker_set = frozenset(markers)
+    known_tokens: dict[str, tuple[str, bool]] = {}
+    known_triplets: dict[Triplet, tuple] = {}
+
+    def match(
+        tokens: Sequence[str],
+        adapted_triplets: Sequence[Triplet],
+        entry_id: str = "",
+        unparseable: bool = False,
+    ) -> EntryEval:
+        if unparseable:
+            tokens = ()  # nothing is matched or found
+        surfaces: list[str] = []
+        positions: dict[str, list[int]] = {}  # each surface's positions, ascending
+        found = 0
+        for pos, token in enumerate(tokens):
+            known = known_tokens.get(token)
+            if known is None:  # holding a marker as count_neomorphemes has it
+                neo = any(m in token for m in marker_set)
+                known = known_tokens[token] = (token.casefold(), neo)
+            surface, neo = known
+            surfaces.append(surface)
+            found += neo
+            positions.setdefault(surface, []).append(pos)
+        consumed: set[int] = set()
+        outcomes: list[Outcome] = []
+        classes: list[tuple[str, str]] = []
+        matched = correct = 0
+        for triplet in adapted_triplets:
+            prepared = known_triplets.get(triplet)
+            if prepared is None:
+                prepared = known_triplets[triplet] = _prepare(triplet)
+            forms, distance, anchor_text, klass = prepared
+            classes.append(klass)
+            outcome = Outcome.UNMATCHED
+            # candidate positions, ascending; no position holds two forms
+            hits = [at for form in forms if (at := positions.get(form))]
+            for pos in hits[0] if len(hits) == 1 else sorted(p for at in hits for p in at):
+                if pos in consumed:
+                    continue
+                if anchor_text is not None:
+                    anchor_pos = pos + distance
+                    if anchor_pos >= len(surfaces) or not surfaces[anchor_pos].startswith(
+                        anchor_text
+                    ):
+                        continue
+                consumed.add(pos)
+                outcome = forms[surfaces[pos]]
+                matched += 1
+                if outcome is Outcome.MATCHED_NEO:
+                    correct += 1
+                break
+            outcomes.append(outcome)
+        return EntryEval(
+            entry_id=entry_id,
+            annotations=len(adapted_triplets),
+            matched=matched,
+            correct=correct,
+            found=found,
+            per_triplet=tuple(outcomes),
+            triplet_classes=tuple(classes),
+            unparseable=unparseable,
+        )
+
+    return match
+
+
 def match_entry(
     tokens: Sequence[str],
     adapted_triplets: Sequence[Triplet],
@@ -140,51 +228,7 @@ def match_entry(
     distance to start with the anchor string. A matched token is consumed
     and cannot serve another triplet.
     """
-    if unparseable:
-        tokens = ()  # nothing is matched or found
-    surfaces = [t.casefold() for t in tokens]
-    positions: dict[str, list[int]] = {}  # each surface's positions, ascending
-    for pos, surface in enumerate(surfaces):
-        positions.setdefault(surface, []).append(pos)
-    consumed: set[int] = set()
-    outcomes: list[Outcome] = []
-    matched = correct = 0
-    for triplet in adapted_triplets:
-        # a token equal to two of the forms matches the first of them
-        forms: dict[str, Outcome] = {}
-        forms.setdefault(triplet.tagged_form.casefold(), Outcome.MATCHED_NEO)
-        forms.setdefault(triplet.masc_form.casefold(), Outcome.MATCHED_MASC)
-        forms.setdefault(triplet.fem_form.casefold(), Outcome.MATCHED_FEM)
-        anchor = triplet.anchor
-        anchor_text = anchor.text.casefold() if anchor is not None else ""
-        outcome = Outcome.UNMATCHED
-        for pos in sorted(p for form in forms for p in positions.get(form, ())):
-            if pos in consumed:
-                continue
-            if anchor is not None:
-                anchor_pos = pos + anchor.distance
-                if anchor_pos >= len(surfaces) or not surfaces[anchor_pos].startswith(
-                    anchor_text
-                ):
-                    continue
-            consumed.add(pos)
-            outcome = forms[surfaces[pos]]
-            matched += 1
-            if outcome is Outcome.MATCHED_NEO:
-                correct += 1
-            break
-        outcomes.append(outcome)
-    found = count_neomorphemes(tokens, markers)
-    return EntryEval(
-        entry_id=entry_id,
-        annotations=len(adapted_triplets),
-        matched=matched,
-        correct=correct,
-        found=found,
-        per_triplet=tuple(outcomes),
-        triplet_classes=tuple((t.kind, t.number) for t in adapted_triplets),
-        unparseable=unparseable,
-    )
+    return matcher(markers)(tokens, adapted_triplets, entry_id, unparseable)
 
 
 def aggregate(entry_evals: Sequence[EntryEval]) -> EvalCounts:
@@ -271,15 +315,9 @@ def evaluate_hypotheses(
         )
     marker_set = frozenset(markers)
     tokenize_text = tokenizer(marker_set)
-    evals = []
-    for entry, hyp in zip(adapted, hypotheses):
-        evals.append(
-            match_entry(
-                tokenize_text(hyp),  # a blank line has no tokens
-                entry.triplets,
-                marker_set,
-                entry_id=entry.entry_id,
-                unparseable=not hyp.strip(),
-            )
-        )
-    return evals
+    match = matcher(marker_set)
+    return [
+        # a blank line has no tokens
+        match(tokenize_text(hyp), entry.triplets, entry.entry_id, not hyp.strip())
+        for entry, hyp in zip(adapted, hypotheses)
+    ]

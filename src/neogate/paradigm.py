@@ -220,8 +220,9 @@ def adapt_reference(ref_tagged: str, mapping: TagsetMapping) -> str:
     """
     adapted = replace_tags(ref_tagged, mapping)
     if TAG_RE.match(ref_tagged):
+        markers = mapping.markers
         for i, ch in enumerate(adapted):
-            if ch in mapping.markers:
+            if ch in markers:
                 break
             if ch.isalpha():
                 if ch.islower():
@@ -235,17 +236,22 @@ def adapt_triplets(triplets, mapping: TagsetMapping) -> tuple[Triplet, ...]:
     return tuple(t._replace(tagged_form=replace_tags(t.tagged_form, mapping)) for t in triplets)
 
 
-def adapt_entry(entry, mapping: TagsetMapping) -> AdaptedEntry:
-    try:
-        return AdaptedEntry(
-            entry_id=entry.entry_id,
-            ref_adapted=adapt_reference(entry.ref_tagged, mapping),
-            triplets=adapt_triplets(entry.triplets, mapping),
-        )
-    except NeoGateError as exc:
-        raise NeoGateError(f"entry {entry.entry_id}: {exc}") from exc
-
-
 def adapt_corpus(corpus, mapping: TagsetMapping) -> list[AdaptedEntry]:
-    """Adapt every entry of a parsed corpus to ``mapping``."""
-    return [adapt_entry(entry, mapping) for entry in corpus]
+    """Adapt every entry of a parsed corpus to ``mapping``. Each distinct
+    triplet is realized once per call, so equal triplets of different
+    entries share one adapted ``Triplet``."""
+    realized: dict[Triplet, Triplet] = {}
+    adapted = []
+    for entry in corpus:
+        try:
+            ref_adapted = adapt_reference(entry.ref_tagged, mapping)
+            triplets = []
+            for t in entry.triplets:
+                a = realized.get(t)
+                if a is None:
+                    a = realized[t] = t._replace(tagged_form=replace_tags(t.tagged_form, mapping))
+                triplets.append(a)
+        except NeoGateError as exc:
+            raise NeoGateError(f"entry {entry.entry_id}: {exc}") from exc
+        adapted.append(AdaptedEntry(entry.entry_id, ref_adapted, tuple(triplets)))
+    return adapted

@@ -748,6 +748,26 @@ def test_import_neogate_loads_no_submodule():
     assert python_in_subprocess(check) == "[]\n"
 
 
+@pytest.mark.parametrize("module", ["neogate", "neogate.cli"])
+def test_python_m_runs_the_cli(module, tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def python_m(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    stats = python_m("stats", f"--corpus={DATA_DIR / 'synthetic-test.tsv'}")
+    assert (stats.returncode, stats.stdout) == (0, GOLDEN_STATS)
+    missing = python_m("stats", f"--corpus={tmp_path / 'missing.tsv'}")
+    assert (missing.returncode, missing.stdout) == (1, "")
+    assert missing.stderr.startswith("error: ")
+
+
 NETWORK_MODULES = ("concurrent.futures", "http.client", "ssl", "urllib.request")
 
 

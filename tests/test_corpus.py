@@ -5,10 +5,11 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from neogate import (
+    adapt_corpus,
     cohen_kappa,
     corpus_stats,
     load_corpus,
@@ -17,7 +18,7 @@ from neogate import (
     serialize_corpus,
     validate_corpus,
 )
-from neogate.corpus import aligned_tag_labels, serialize_annotation
+from neogate.corpus import Entry, _decode, aligned_tag_labels, serialize_annotation
 from neogate.errors import NeoGateError
 
 from .conftest import EXAMPLE_CORPUS_TEXT, HEADER_LINE
@@ -136,6 +137,84 @@ def test_blank_lines_inside_a_corpus_are_skipped(tagset, example_corpus):
     text = EXAMPLE_CORPUS_TEXT + "\n \t\n" + row.replace("0001", "0002", 1) + "\n"
     entries = parse_corpus(text, tagset)
     assert entries == [example_corpus[0], example_corpus[0]._replace(entry_id="0002")]
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_a_decode_error_gives_the_offset_in_the_file(bom):
+    assert _decode(bom + b"caf\xc3\xa9", "f.tsv") == "caf\xe9"
+    with pytest.raises(NeoGateError, match=f"f.tsv is not valid UTF-8: .* in position {len(bom) + 3}:"):
+        _decode(bom + b"caf\xe9", "f.tsv")
+
+
+# annotation chunks that recur across a corpus: padded copies of one
+# another, two with one tagged form, and bad ones that fail at their first
+# line however often they repeat
+_CHUNKS = [
+    "il la l<DARTS> maestr=1",
+    "  il la l<DARTS> maestr=1 ",
+    "lo la l<DARTS>",
+    "maestro maestra maestr<ENDS>",
+    "i le l<DARTP> amic=2",
+    "amici amiche amic<ENDP>",
+    " ",
+]
+_BAD_CHUNKS = ["il la <BOGUS>", "il la l<DARTS> maestr=0", "il la"]
+_REF = "l<DARTS> maestr<ENDS> arriva"
+_REFS = [_REF, "Gli amic<ENDP>", "<POSS1S> amic<ENDS>", "<DARTS> ", "x", "<BOGUS> x"]
+
+
+@st.composite
+def corpus_rows(draw):
+    """(REF-TAGGED, annotation chunks) rows; some rows may share one bad chunk."""
+    chunks = st.lists(st.sampled_from(_CHUNKS), min_size=1, max_size=4)
+    rows = draw(st.lists(st.tuples(st.sampled_from(_REFS), chunks), max_size=8))
+    bad = draw(st.none() | st.sampled_from(_BAD_CHUNKS))
+    if bad is not None and rows:
+        for i in draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)):
+            rows[i][1].append(bad)
+    return rows
+
+
+def _outcome(build):
+    try:
+        return build()
+    except NeoGateError as exc:
+        return str(exc)
+
+
+@given(corpus_rows())
+@example([(_REF, ["il la l<DARTS> maestr=1"]), (_REF, ["lo la l<DARTS>", "il la l<DARTS> maestr=1"])])
+@example([(_REF, ["amici amiche amic<ENDP>", "il la"]), (_REF, ["il la"])])
+def test_parse_and_adapt_of_repeated_chunks_match_per_line_work(tagset, asterisk, schwa, rows):
+    lines = [
+        (f"e{i}", "src", "ref m", "ref f", ref, ";".join(chunks) + ";")
+        for i, (ref, chunks) in enumerate(rows)
+    ]
+    text = "\n".join([HEADER_LINE, *map("\t".join, lines)]) + "\n"
+
+    def parse_each_line():
+        entries = []
+        for line_no, (*columns, annotation) in enumerate(lines, start=2):
+            try:
+                triplets = parse_annotation(annotation, tagset)
+            except NeoGateError as exc:
+                raise NeoGateError(f"line {line_no} (entry {columns[0]}): {exc}") from exc
+            if not triplets:
+                raise NeoGateError(f"line {line_no} (entry {columns[0]}): empty annotation")
+            entries.append(Entry(*columns, tuple(triplets)))
+        return entries
+
+    corpus = _outcome(lambda: parse_corpus(text, tagset))
+    assert corpus == _outcome(parse_each_line)
+    if isinstance(corpus, str):
+        return
+    # each distinct chunk is one Triplet
+    triplets = [t for e in corpus for t in e.triplets]
+    assert len({id(t) for t in triplets}) == len(set(triplets))
+    for mapping in (asterisk, schwa):
+        assert _outcome(lambda: adapt_corpus(corpus, mapping)) == _outcome(
+            lambda: [adapt_corpus([e], mapping)[0] for e in corpus]
+        )
 
 
 def test_parse_errors_carry_entry_context(tagset):

@@ -449,7 +449,9 @@ _HYP_WORDS = _FORMS + ["L’", "MAESTRO", "dell'", "qui", "po'", "e", "٣a", "*"
 @st.composite
 def triplets(draw):
     anchor = draw(
-        st.none() | st.builds(Anchor, st.sampled_from(["m", "MAESTR", "l", "٣"]), st.integers(1, 2))
+        st.none()
+        # distances below 1 come only through the API
+        | st.builds(Anchor, st.sampled_from(["m", "MAESTR", "l", "٣", ""]), st.integers(-1, 2))
     )
     masc, fem, tagged = (draw(st.sampled_from(_FORMS)) for _ in range(3))
     kind, number = draw(st.sampled_from([("content", "singular"), ("function", "plural")]))
@@ -476,28 +478,52 @@ def _triplet(masc, fem, tagged, anchor=None):
     return Triplet(masc, fem, tagged, "T", "function", "singular", anchor)
 
 
-@given(st.lists(st.tuples(st.lists(triplets(), max_size=6), hypotheses | st.just("  ")), max_size=8))
+def entries_of(triplet):
+    return st.lists(st.tuples(st.lists(triplet, max_size=6), hypotheses | st.just("  ")), max_size=8)
+
+
+@st.composite
+def shared_entries(draw):
+    """Entries whose triplets come from one small pool, as the same objects
+    (what ``parse_corpus`` and ``adapt_corpus`` hand out for a repeated
+    chunk) or as equal copies."""
+    pool = st.sampled_from(draw(st.lists(triplets(), min_size=1, max_size=6)))
+    return draw(entries_of(pool | pool.map(lambda t: Triplet(*t))))
+
+
+# markers passed through the API may be longer than one character; a token
+# holds one when it contains it
+LONG_MARKERS = frozenset({"*", "rə", "l'"})
+
+
+# each entry's own triplets, or triplets shared across entries
+@given(entries_of(triplets()) | shared_entries(), st.sampled_from([MARKERS, LONG_MARKERS]))
 # the anchor on the last token, and forms equal to two fields
-@example([([_triplet("il", "la", "l*", Anchor("m", 1))], "la casa, il Maestro")])
-@example([([_triplet("la", "la", "l*"), _triplet("l*", "il", "l*")], "l* la il l*")])
-def test_evaluation_matches_the_old_tokenizer_and_matcher(entries):
+@example([([_triplet("il", "la", "l*", Anchor("m", 1))], "la casa, il Maestro")], MARKERS)
+@example([([_triplet("la", "la", "l*"), _triplet("l*", "il", "l*")], "l* la il l*")], MARKERS)
+@example([([_triplet("il", "la", "l*")] * 2, "dell' l* Maestrə"), ([], "l'")], LONG_MARKERS)
+# anchors at distance 0 and -1; one tagged form in two triplets
+@example([([_triplet("il", "la", "l*", Anchor("m", 0))], "il maestro")], MARKERS)
+@example([([_triplet("il", "la", "l*", Anchor("m", -1))], "maestro il")], MARKERS)
+@example([([_triplet("il", "la", "l*")], "il"), ([_triplet("lo", "la", "l*")], "lo")], MARKERS)
+def test_evaluation_matches_the_old_tokenizer_and_matcher(entries, markers):
     adapted = [AdaptedEntry(f"e{i}", "", tuple(ts)) for i, (ts, _) in enumerate(entries)]
     hyps = [hyp for _, hyp in entries]
     expected = [
         old_match_entry(
-            old_tokenize(hyp, MARKERS) if hyp.strip() else [],
+            old_tokenize(hyp, markers) if hyp.strip() else [],
             entry.triplets,
-            MARKERS,
+            markers,
             entry_id=entry.entry_id,
             unparseable=not hyp.strip(),
         )
         for entry, hyp in zip(adapted, hyps)
     ]
-    assert evaluate_hypotheses(adapted, hyps, MARKERS) == expected
-    tokenize_text = tokenizer(MARKERS)
-    assert [tokenize_text(hyp) for hyp in hyps] == [old_tokenize(hyp, MARKERS) for hyp in hyps]
+    assert evaluate_hypotheses(adapted, hyps, markers) == expected
+    tokenize_text = tokenizer(markers)
+    assert [tokenize_text(hyp) for hyp in hyps] == [old_tokenize(hyp, markers) for hyp in hyps]
     for entry, hyp in zip(adapted, hyps):
-        tokens = old_tokenize(hyp, MARKERS)
-        assert match_entry(tokens, entry.triplets, MARKERS, entry.entry_id) == old_match_entry(
-            tokens, entry.triplets, MARKERS, entry.entry_id
+        tokens = old_tokenize(hyp, markers)
+        assert match_entry(tokens, entry.triplets, markers, entry.entry_id) == old_match_entry(
+            tokens, entry.triplets, markers, entry.entry_id
         )
