@@ -1,9 +1,9 @@
 """Command-line entry point: validate, stats, adapt, prompt, run, extract,
 evaluate, and kappa subcommands over a shared reproducible configuration.
 
-Exit codes: 0 success, 1 data error, 2 usage error. Evaluation artifacts
-are written under ``--out`` with fixed names (``report.txt``,
-``report.kv``, ``trace.tsv``, ``manifest.kv``).
+Exit codes: 0 success, 1 data error, 2 usage error, 130 interrupted
+(Ctrl-C). Evaluation artifacts are written under ``--out`` with fixed
+names (``report.txt``, ``report.kv``, ``trace.tsv``, ``manifest.kv``).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .corpus import (
@@ -63,23 +63,16 @@ class UsageError(Exception):
     """A flag or config value the command cannot use; exit code 2."""
 
 
-class RunManifest(NamedTuple):
-    """Everything needed to reproduce an evaluation or a run."""
-
-    corpus: str = ""
-    paradigm: str = ""
-    mapping_path: str = ""
-    prompt_format: str = ""
-    n_shots: str = ""
-    exemplar_ids: str = ""
-    endpoint: str = ""
-    model: str = ""
-    temperature: str = ""
-    out_dir: str = ""
-    tool_version: str = __version__
+class RunManifest(dict):
+    """The option values a command used, keyed by their flags' dests."""
 
     def to_kv(self) -> str:
-        lines = [f"{key}={value}" for key, value in self._asdict().items()]
+        """A ``--config`` file of the non-blank values, under the flags'
+        names, after a ``# neogate <version>`` line."""
+        lines = [f"# neogate {__version__}"]
+        lines += [
+            f"{key.replace('_', '-')}={value}" for key, value in self.items() if str(value).strip()
+        ]
         return "\n".join(lines) + "\n"
 
 
@@ -148,18 +141,14 @@ def _emit(path: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _write_manifest(args: argparse.Namespace, mapping: TagsetMapping, **fields: str) -> None:
-    """Write ``manifest.kv`` under ``--out``; ``fields`` are the ones besides
-    the inputs and the output directory."""
-    out_dir = Path(args.out)
-    manifest = RunManifest(
-        corpus=args.corpus,
-        paradigm=mapping.paradigm_name,
-        mapping_path=args.mapping,
-        out_dir=str(out_dir),
-        **fields,
-    )
-    (out_dir / MANIFEST_KV).write_text(manifest.to_kv(), encoding="utf-8")
+def _write_manifest(args: argparse.Namespace, mapping: TagsetMapping, **used: str) -> None:
+    """Write ``manifest.kv`` under ``--out``, so that ``neogate --config
+    OUT/manifest.kv <command>`` replays the command. ``paradigm`` is the
+    mapping's name, which ``--mapping`` overrides on replay; ``used`` holds
+    the values the command resolved from blank flags."""
+    values = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
+    manifest = RunManifest(values, paradigm=mapping.paradigm_name, **used)
+    (Path(args.out) / MANIFEST_KV).write_text(manifest.to_kv(), encoding="utf-8")
 
 
 def _build_spec(
@@ -276,16 +265,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     records = run_corpus(corpus, spec, config, cache_path, exemplars)
     hyp = export_hypotheses(records, [e.entry_id for e in corpus])
     (out_dir / "hypotheses.txt").write_text(hyp, encoding="utf-8")
-    _write_manifest(
-        args,
-        mapping,
-        prompt_format=spec.format.value,
-        n_shots=str(spec.n_shots),
-        exemplar_ids=",".join(spec.exemplar_ids),
-        endpoint=config.endpoint,
-        model=config.model,
-        temperature=str(config.temperature),
-    )
+    _write_manifest(args, mapping, cache=cache_path, exemplars=",".join(spec.exemplar_ids))
     failed = sum(r.outcome == "failed" for r in records)
     print(f"records={len(records)} failed={failed} cache={cache_path}")
     return 0
@@ -473,9 +453,10 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
             )
     # argparse runs each flag's type on a string default, so a bad value
     # is a usage error; subparsers parse into a fresh namespace, so the
-    # defaults must be set on each of them
+    # defaults must be set on each of them, each taking only its own keys
+    # so that a command's manifest holds only its own flags
     for sub in parser.sub_commands.values():
-        sub.set_defaults(**values)
+        sub.set_defaults(**{a.dest: values[a.dest] for a in sub._actions if a.dest in values})
 
 
 def dispatch(argv: list[str] | None = None) -> int:
@@ -496,6 +477,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     except (NeoGateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

@@ -9,6 +9,7 @@ import os
 import re
 import sys
 import threading
+import time
 import warnings
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -154,7 +155,7 @@ class _EchoHandler(BaseHTTPRequestHandler):
     behaving normally, with ``"garbage"`` for a body that is not JSON and
     ``"null"`` for a null ``content``; every request increments
     ``server.calls`` and appends its raw body to ``server.bodies``. Each request runs on its own thread, so the count is
-    kept under a lock.
+    kept under a lock. ``server.delay`` seconds pass before each reply.
     """
 
     def do_POST(self):  # noqa: N802 (http.server API)
@@ -165,6 +166,8 @@ class _EchoHandler(BaseHTTPRequestHandler):
             server.calls += 1
             server.bodies.append(raw)
         server.last_auth = self.headers.get("Authorization")
+        if server.delay:  # tests that patch time.sleep would see this call
+            time.sleep(server.delay)
         body = json.loads(raw) if length else {}
         if server.script:
             status = server.script.pop(0)
@@ -205,6 +208,7 @@ def echo_server():
     server.lock = threading.Lock()
     server.script = []
     server.last_auth = None
+    server.delay = 0.0
     # a short poll, so shutdown() does not wait out the default 0.5 s
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()

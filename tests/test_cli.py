@@ -8,16 +8,24 @@ import importlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import types
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from neogate import __version__, build_prompt, prompt_hash, runner
 from neogate.cli import (
+    REPORT_KV,
+    REPORT_TXT,
+    TRACE_TSV,
+    RunManifest,
     _build_spec,
     _load_inputs,
     build_parser,
@@ -26,7 +34,7 @@ from neogate.cli import (
     render_report,
 )
 from neogate.evaluator import EvalCounts, MetricReport
-from neogate.runner import RunRecord
+from neogate.runner import JsonlCache, RunRecord
 
 from .conftest import DATA_DIR, EXAMPLE_CORPUS_TEXT, EXAMPLE_SOURCE, HEADER_LINE, split_path
 
@@ -45,9 +53,8 @@ GOLDEN_SELF_REPORT_TXT = (
     "annotations=2479\nmatched=2479\ncorrect=2479\nfound=2479\n"
 )
 GOLDEN_EVALUATE_MANIFEST = (
-    "corpus=<data>/synthetic-test.tsv\nparadigm={0}\nmapping_path=\nprompt_format=\n"
-    "n_shots=\nexemplar_ids=\nendpoint=\nmodel=\ntemperature=\nout_dir=<tmp>/report\n"
-    "tool_version={1}\n"
+    "# neogate {1}\ncorpus=<data>/synthetic-test.tsv\nparadigm={0}\nhyp=<tmp>/hyp.txt\n"
+    "out=<tmp>/report\n"
 )
 GOLDEN_STATS = "entries=841\ntags=2479\ncontent=1539\nfunction=940\nsingular=1316\nplural=1163\n"
 GOLDEN_TERNARY_8_PROMPTS = {
@@ -55,10 +62,11 @@ GOLDEN_TERNARY_8_PROMPTS = {
     "schwa": "9dbb9b8e5a32418ea2a19206bf1bd0f2fa751ac45973dd485661250e55750802",
 }
 GOLDEN_RUN_MANIFEST = (
-    "corpus=<data>/synthetic-test.tsv\nparadigm={0}\nmapping_path=<tmp>/paradigm.map\n"
-    "prompt_format=ternary\nn_shots=8\nexemplar_ids=0015,0021,0023,0024,0027,0028,0030,0032\n"
-    "endpoint=http://127.0.0.1:9/v1\nmodel=m\ntemperature=0.0\nout_dir=<tmp>/run\n"
-    "tool_version={1}\n"
+    "# neogate {1}\ncorpus=<data>/synthetic-test.tsv\nparadigm={0}\nmapping=<tmp>/paradigm.map\n"
+    "format=ternary\nshots=8\ndev-corpus=<data>/synthetic-dev.tsv\n"
+    "exemplars=0015,0021,0023,0024,0027,0028,0030,0032\nendpoint=http://127.0.0.1:9/v1\n"
+    "model=m\ntemperature=0.0\ntimeout=60.0\nretries=2\nrate-limit=0.0\nconcurrency=1\n"
+    "cache=<tmp>/run/cache.jsonl\nout=<tmp>/run\n"
 )
 
 
@@ -347,9 +355,9 @@ def test_evaluate_self_adapted_reference(corpus_file, tmp_path, capsys):
     trace = (out_dir / "trace.tsv").read_text(encoding="utf-8").splitlines()
     assert trace[0].startswith("entry_id\t")
     assert trace[1].split("\t")[:5] == ["0001", "4", "4", "4", "4"]
-    manifest = parse_kv((out_dir / "manifest.kv").read_text(encoding="utf-8"))
-    assert manifest["paradigm"] == "asterisk"
-    assert manifest["tool_version"]
+    manifest = (out_dir / "manifest.kv").read_text(encoding="utf-8")
+    assert parse_kv(manifest)["paradigm"] == "asterisk"
+    assert manifest.splitlines()[0] == f"# neogate {__version__}"
 
 
 def test_evaluate_pads_missing_hypotheses(corpus_file, tmp_path, capsys):
@@ -494,7 +502,7 @@ def test_run_and_config_precedence(corpus_file, tmp_path, echo_server, capsys):
     config = tmp_path / "run.conf"
     config.write_text(
         f"# shared settings\n\nendpoint={echo_server.url}\n  # the model\nmodel=config-model\n"
-        "temperature=0.5\n",
+        "temperature=0.5\nhyp=h.txt\n",
         encoding="utf-8",
     )
     for i, spelling in enumerate(config_spellings(config)):
@@ -509,6 +517,7 @@ def test_run_and_config_precedence(corpus_file, tmp_path, echo_server, capsys):
         manifest = parse_kv((out_dir / "manifest.kv").read_text(encoding="utf-8"))
         assert manifest["model"] == "flag-model"  # flag beats config
         assert manifest["temperature"] == "0.5"  # config beats default
+        assert "hyp" not in manifest  # an evaluate flag
         cache_lines = (out_dir / "cache.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(cache_lines) == 1
         assert json.loads(cache_lines[0])["model"] == "flag-model"
@@ -862,3 +871,149 @@ def test_replies_with_any_line_break_stay_on_their_line(tmp_path, monkeypatch):
     assert extracted.read_bytes() == hyp.read_bytes()
     assert dispatch(["evaluate", f"--corpus={corpus}", f"--hyp={hyp}", f"--out={tmp_path}"]) == 0
     assert parse_kv((tmp_path / "report.kv").read_text(encoding="utf-8"))["entries"] == "2"
+
+
+def head_of_test_split(tmp_path, entries: int) -> Path:
+    """A corpus of the header and the first ``entries`` rows of the test split."""
+    lines = split_path("test").read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path / "head.tsv"
+    path.write_text("".join(lines[: entries + 1]), encoding="utf-8")
+    return path
+
+
+def without_out(manifest: Path) -> list[str]:
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    return [line for line in lines if not line.startswith("out=")]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--paradigm=schwa", "--format=ternary", "--shots=4", "--concurrency=2"],
+        [f"--mapping={DATA_DIR.parent / 'src/neogate/data/schwa.map'}", "--format=direct",
+         "--shots=1"],
+    ],
+    ids=["ranked-exemplars", "mapping"],
+)
+def test_a_run_replays_from_its_manifest(flags, tmp_path, echo_server, capsys):
+    corpus = head_of_test_split(tmp_path, 30)
+    dev = f"--dev-corpus={DATA_DIR / 'synthetic-dev.tsv'}"
+    argv = ["run", f"--corpus={corpus}", dev, f"--endpoint={echo_server.url}", "--model=m", *flags]
+    out, again = tmp_path / "out", tmp_path / "again"
+    assert dispatch([*argv, f"--out={out}"]) == 0
+    sent = echo_server.calls
+    manifest = parse_kv((out / "manifest.kv").read_text(encoding="utf-8"))
+    assert manifest["paradigm"] == "schwa"
+    assert manifest["exemplars"] and manifest["cache"] == str(out / "cache.jsonl")
+    assert dispatch(["--config", str(out / "manifest.kv"), "run", f"--out={again}"]) == 0
+    assert echo_server.calls == sent
+    assert (again / "hypotheses.txt").read_bytes() == (out / "hypotheses.txt").read_bytes()
+    assert without_out(again / "manifest.kv") == without_out(out / "manifest.kv")
+    assert parse_kv((again / "manifest.kv").read_text(encoding="utf-8"))["out"] == str(again)
+
+
+def test_an_evaluation_replays_from_its_manifest(tmp_path, capsys):
+    corpus = head_of_test_split(tmp_path, 100)
+    rows = corpus.read_text(encoding="utf-8").splitlines()[1:]
+    hyp = tmp_path / "hyp.txt"
+    # masculine and feminine references in turn: neither all hits nor all misses
+    refs = (row.split("\t")[2 + i % 2] for i, row in enumerate(rows))
+    hyp.write_text("".join(ref + "\n" for ref in refs), encoding="utf-8")
+    out, again = tmp_path / "out", tmp_path / "again"
+    argv = ["evaluate", f"--corpus={corpus}", "--paradigm=schwa", f"--hyp={hyp}"]
+    assert dispatch([*argv, f"--out={out}"]) == 0
+    assert dispatch(["--config", str(out / "manifest.kv"), "evaluate", f"--out={again}"]) == 0
+    for name in (REPORT_TXT, REPORT_KV, TRACE_TSV):
+        assert (again / name).read_bytes() == (out / name).read_bytes()
+    assert without_out(again / "manifest.kv") == without_out(out / "manifest.kv")
+
+
+FLAG_DESTS = sorted(
+    {
+        action.dest
+        for sub in build_parser().sub_commands.values()
+        for action in sub._actions
+        if action.option_strings and action.dest != "help"
+    }
+)
+
+
+# a value that the config reader gives back as written: one line, with
+# no whitespace at either end
+@given(
+    st.dictionaries(
+        st.sampled_from(FLAG_DESTS),
+        st.text().filter(lambda v: v == v.strip() and "".join(v.splitlines()) == v),
+    )
+)
+def test_a_manifest_reads_back_as_its_values_under_the_flag_names(values):
+    text = RunManifest(values).to_kv()
+    assert text.splitlines()[0] == f"# neogate {__version__}"
+    assert parse_kv(text) == {key.replace("_", "-"): v for key, v in values.items() if v}
+
+
+def test_the_traced_pass_writes_what_evaluate_writes(tmp_path, capsys):
+    root = DATA_DIR.parent
+    corpus = str(DATA_DIR / "synthetic-test.tsv")
+    adapted = tmp_path / "adapted.tsv"
+    assert dispatch(["adapt", f"--corpus={corpus}", f"--out-file={adapted}"]) == 0
+    rows = adapted.read_text(encoding="utf-8").splitlines()[1:]
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("".join(row.split("\t")[4] + "\n" for row in rows), encoding="utf-8")
+    argv = ["evaluate", f"--corpus={corpus}", f"--hyp={hyp}"]
+    assert dispatch([*argv, f"--out={tmp_path / 'plain'}"]) == 0
+    traced = subprocess.run(
+        [sys.executable, str(root / "perfbench/traced_call.py"), str(tmp_path / "spans.json"),
+         str(tmp_path / "probe.jsonl"), *argv, f"--out={tmp_path / 'traced'}"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == capsys.readouterr().out
+    for name in (REPORT_KV, TRACE_TSV):
+        traced_file, plain_file = tmp_path / "traced" / name, tmp_path / "plain" / name
+        assert traced_file.read_bytes() == plain_file.read_bytes()
+
+
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGKILL], ids=["SIGINT", "SIGKILL"])
+def test_a_run_process_stopped_midway_resumes(sig, tmp_path, echo_server):
+    """A real ``neogate run`` stopped once some replies are cached: a rerun
+    of the same command ends with an uninterrupted run's hypotheses."""
+    corpus = head_of_test_split(tmp_path, 120)
+    argv = ["run", f"--corpus={corpus}", f"--endpoint={echo_server.url}", "--model=m",
+            "--concurrency=2"]
+    assert dispatch([*argv, f"--out={tmp_path / 'whole'}"]) == 0
+    whole = (tmp_path / "whole/hypotheses.txt").read_bytes()
+    prompts = set(echo_server.bodies)
+    echo_server.calls, echo_server.bodies, echo_server.delay = 0, [], 0.01
+
+    out = tmp_path / "out"
+    command = [sys.executable, "-m", "neogate", *argv, f"--out={out}"]
+    env = {**os.environ, "PYTHONPATH": str(DATA_DIR.parent / "src")}
+    cache = out / "cache.jsonl"
+    with subprocess.Popen(
+        command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as run:
+        deadline = time.monotonic() + 30
+        while not (cache.exists() and cache.read_bytes().count(b"\n") >= 10):
+            assert run.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        run.send_signal(sig)
+        stdout, stderr = run.communicate(timeout=30)
+    if sig == signal.SIGINT:
+        assert run.returncode == 130
+        assert stderr.startswith("interrupted") and stderr.count("\n") == 1
+        assert "Traceback" not in stderr
+    else:
+        assert run.returncode == -sig
+    assert stdout == ""
+    assert not (out / "hypotheses.txt").exists()
+    assert 0 < len(JsonlCache(cache)) < len(prompts)
+
+    rerun = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert rerun.returncode == 0, rerun.stderr
+    assert (out / "hypotheses.txt").read_bytes() == whole
+    assert set(echo_server.bodies) == prompts
+    assert echo_server.calls <= len(prompts) + 2  # plus what was in flight
