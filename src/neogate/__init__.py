@@ -21,12 +21,12 @@ _EXPORTS = {
         "tokenize",
     ),
     "paradigm": (
-        "AdaptedEntry", "TagsetDefinition", "TagsetMapping", "adapt_corpus",
-        "adapt_reference", "load_builtin_mapping", "load_builtin_tagset", "parse_mapping",
+        "TagsetDefinition", "TagsetMapping", "adapt_corpus", "adapt_reference",
+        "load_builtin_mapping", "load_builtin_tagset", "parse_mapping",
     ),
     "promptkit": (
-        "ChatMessage", "Exemplar", "PromptFormat", "PromptSpec", "build_prompt",
-        "extract_translation", "rank_exemplar_candidates",
+        "ChatMessage", "PromptFormat", "PromptSpec", "build_prompt", "extract_translation",
+        "rank_exemplar_candidates",
     ),
     "runner": (
         "ClientConfig", "JsonlCache", "RunRecord", "export_hypotheses", "prompt_hash",

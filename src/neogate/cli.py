@@ -35,7 +35,6 @@ from .paradigm import (
     parse_mapping,
 )
 from .promptkit import (
-    Exemplar,
     PromptFormat,
     PromptSpec,
     SpecMismatch,
@@ -153,7 +152,7 @@ def _write_manifest(args: argparse.Namespace, mapping: TagsetMapping, **used: st
 
 def _build_spec(
     args: argparse.Namespace, mapping: TagsetMapping, tagset: TagsetDefinition
-) -> tuple[PromptSpec, tuple[Exemplar, ...]]:
+) -> tuple[PromptSpec, tuple[Entry, ...]]:
     fmt = PromptFormat(args.format)
     ids = tuple(x for x in args.exemplars.split(",") if x)
     dev = None
@@ -205,11 +204,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_adapt(args: argparse.Namespace) -> int:
     _require(args, "corpus")
     _, corpus, mapping = _load_inputs(args)
-    # the adapted reference and forms take the tagged ones' columns
-    adapted = [
-        e._replace(ref_tagged=a.ref_adapted, triplets=a.triplets)
-        for e, a in zip(corpus, adapt_corpus(corpus, mapping))
-    ]
+    # the adapted reference takes the tagged one's column
+    adapted = [a._replace(ref_tagged=a.ref_adapted) for a in adapt_corpus(corpus, mapping)]
     _emit(args.out_file, serialize_corpus(adapted, ADAPTED_HEADER))
     return 0
 

@@ -28,8 +28,9 @@ class Anchor(NamedTuple):
 class Triplet(NamedTuple):
     """The masculine, feminine and third form annotated for one word.
 
-    The third form follows its reference: tagged (``direttor<ENDS>``) in a
-    parsed corpus, realized (``direttor*``) after paradigm adaptation.
+    The third form follows its entry's reference: tagged
+    (``direttor<ENDS>``) in a parsed corpus, realized (``direttor*``), like
+    ``ref_adapted``, in an entry that ``adapt_corpus`` returns.
     """
 
     masc_form: str
@@ -50,6 +51,7 @@ class Entry(NamedTuple):
     ref_fem: str
     ref_tagged: str
     triplets: tuple[Triplet, ...]
+    ref_adapted: str = ""  # ref_tagged realized in a paradigm; blank until adapted
 
 
 class CorpusStats(NamedTuple):

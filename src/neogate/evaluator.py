@@ -17,9 +17,8 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import Triplet
+from .corpus import Entry, Triplet
 from .errors import NeoGateError
-from .paradigm import AdaptedEntry
 
 
 class Outcome(str, Enum):
@@ -300,7 +299,7 @@ def compute_metrics(counts: EvalCounts) -> MetricReport:
 
 
 def evaluate_hypotheses(
-    adapted: Sequence[AdaptedEntry],
+    adapted: Sequence[Entry],
     hypotheses: Sequence[str],
     markers: Iterable[str],
 ) -> list[EntryEval]:

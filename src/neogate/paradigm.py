@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import os
 import re
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import NeoGateError
 
 if TYPE_CHECKING:
-    from .corpus import Triplet
+    from .corpus import Entry, Triplet
 
 SINGULAR = "singular"
 CONTENT = "content-suffix"
@@ -105,14 +105,6 @@ class TagsetMapping(NamedTuple):
                 f"tag <{tag_name}> has no replacement in paradigm "
                 f"{self.paradigm_name!r}"
             ) from None
-
-
-class AdaptedEntry(NamedTuple):
-    """A corpus entry with reference and triplets adapted to a paradigm."""
-
-    entry_id: str
-    ref_adapted: str
-    triplets: tuple[Triplet, ...]
 
 
 def _read_data(name: str) -> str:
@@ -236,10 +228,11 @@ def adapt_triplets(triplets, mapping: TagsetMapping) -> tuple[Triplet, ...]:
     return tuple(t._replace(tagged_form=replace_tags(t.tagged_form, mapping)) for t in triplets)
 
 
-def adapt_corpus(corpus, mapping: TagsetMapping) -> list[AdaptedEntry]:
-    """Adapt every entry of a parsed corpus to ``mapping``. Each distinct
-    triplet is realized once per call, so equal triplets of different
-    entries share one adapted ``Triplet``."""
+def adapt_corpus(corpus: Sequence[Entry], mapping: TagsetMapping) -> list[Entry]:
+    """Adapt every entry of a parsed corpus to ``mapping``: a copy with its
+    triplets realized and ``ref_adapted`` set. Each distinct triplet is
+    realized once per call, so equal triplets of different entries share
+    one adapted ``Triplet``."""
     realized: dict[Triplet, Triplet] = {}
     adapted = []
     for entry in corpus:
@@ -253,5 +246,6 @@ def adapt_corpus(corpus, mapping: TagsetMapping) -> list[AdaptedEntry]:
                 triplets.append(a)
         except NeoGateError as exc:
             raise NeoGateError(f"entry {entry.entry_id}: {exc}") from exc
-        adapted.append(AdaptedEntry(entry.entry_id, ref_adapted, tuple(triplets)))
+        # one tuple build: ``_replace`` costs a dict and a map per entry
+        adapted.append(entry._make((*entry[:5], tuple(triplets), ref_adapted)))
     return adapted

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .corpus import Entry
 from .errors import NeoGateError
@@ -51,16 +51,6 @@ class SpecMismatch(NeoGateError):
 class ChatMessage(NamedTuple):
     role: str  # "user" | "assistant"
     content: str
-
-
-class Exemplar(NamedTuple):
-    """One dev-set demonstration, pre-adapted to the active paradigm."""
-
-    entry_id: str
-    source: str
-    ref_masc: str
-    ref_fem: str
-    ref_adapted: str
 
 
 class _PromptSpecFields(NamedTuple):
@@ -113,7 +103,7 @@ def instruction_sentence(mapping: TagsetMapping) -> str:
     )
 
 
-def _exemplar_assistant(fmt: PromptFormat, ex: Exemplar) -> str:
+def _exemplar_assistant(fmt: PromptFormat, ex: Entry) -> str:
     if fmt is PromptFormat.DIRECT:
         return f"<{ex.ref_adapted}>"
     if fmt is PromptFormat.BINARY:
@@ -124,9 +114,7 @@ def _exemplar_assistant(fmt: PromptFormat, ex: Exemplar) -> str:
     )
 
 
-def prompt_head(
-    spec: PromptSpec, exemplars: tuple[Exemplar, ...] | list[Exemplar] = ()
-) -> list[ChatMessage]:
+def prompt_head(spec: PromptSpec, exemplars: Sequence[Entry] = ()) -> list[ChatMessage]:
     """The demonstrations every prompt of ``spec`` opens with.
 
     The instruction opens the first user message. Each demonstration is a
@@ -157,7 +145,7 @@ def final_message(source: str, spec: PromptSpec, opening: bool) -> ChatMessage:
 
 
 def build_prompt(
-    source: str, spec: PromptSpec, exemplars: tuple[Exemplar, ...] | list[Exemplar] = ()
+    source: str, spec: PromptSpec, exemplars: Sequence[Entry] = ()
 ) -> list[ChatMessage]:
     """The chat-message sequence for one source sentence: the head of
     ``spec`` and ``exemplars``, then the final message."""
@@ -167,17 +155,15 @@ def build_prompt(
 
 def exemplars_from_corpus(
     dev_corpus: list[Entry], adapted_refs: dict[str, str], ids: tuple[str, ...]
-) -> tuple[Exemplar, ...]:
-    """Resolve exemplar ids against a dev corpus and its adapted references."""
+) -> tuple[Entry, ...]:
+    """The dev entry of each of ``ids`` with ``ref_adapted`` set from
+    ``adapted_refs``; prompts read no triplet, so they stay tagged."""
     by_id = {e.entry_id: e for e in dev_corpus}
     out = []
     for entry_id in ids:
         if entry_id not in by_id or entry_id not in adapted_refs:
             raise SpecMismatch(f"exemplar id {entry_id!r} not found in dev corpus")
-        e = by_id[entry_id]
-        out.append(
-            Exemplar(e.entry_id, e.source, e.ref_masc, e.ref_fem, adapted_refs[entry_id])
-        )
+        out.append(by_id[entry_id]._replace(ref_adapted=adapted_refs[entry_id]))
     return tuple(out)
 
 

@@ -31,12 +31,19 @@ from .corpus import Entry
 from .errors import NeoGateError
 from .promptkit import (
     ChatMessage,
-    Exemplar,
     PromptSpec,
     extract_translation,
     final_message,
     prompt_head,
 )
+
+try:
+    from fcntl import LOCK_EX, LOCK_UN, flock
+except ImportError:  # no advisory locks here: give each run its own cache
+    LOCK_EX = LOCK_UN = 0
+
+    def flock(fd: int, operation: int) -> None:
+        pass
 
 API_KEY_ENV = "NEOGATE_API_KEY"
 
@@ -184,6 +191,8 @@ class JsonlCache:
     whole file. Only ``save_index`` writes the sidecar. A ``RunRecord`` is
     decoded from its line only when it is read. Appends go through one
     handle, so close the cache, or use it in ``with``, once it has put.
+    A load and each append hold the file's ``flock``, so no load cuts off
+    a record that another run is still writing.
     """
 
     def __init__(self, path: str | Path):
@@ -201,19 +210,24 @@ class JsonlCache:
 
     def _load(self) -> None:
         with open(self.path, "rb") as fh:
+            # each put writes under this lock, so a fragment seen under it is
+            # a dead writer's, not an append in progress; closing releases it
+            flock(fh.fileno(), LOCK_EX)
             # read into one buffer: the file is held, not also copied
             data = bytearray(os.fstat(fh.fileno()).st_size)
             del data[fh.readinto(data):]
             data += fh.read()
-        self._data = data
-        self._indexed = self._checked_prefix()
-        end = self._check(self._indexed)
-        if end < len(data):
-            # a crash cut the last append short: cut the fragment off, or
-            # the next put would join it
-            _logger().warning("%s: dropping torn last record at byte offset %d", self.path, end)
-            os.truncate(self.path, end)
-            del data[end:]
+            self._data = data
+            self._indexed = self._checked_prefix()
+            end = self._check(self._indexed)
+            if end < len(data):
+                # a crash cut the last append short: cut the fragment off,
+                # or the next put would join it
+                _logger().warning(
+                    "%s: dropping torn last record at byte offset %d", self.path, end
+                )
+                os.truncate(self.path, end)
+                del data[end:]
 
     def _checked_prefix(self) -> int:
         """The length of the prefix that the sidecar vouches for, taking
@@ -353,7 +367,11 @@ class JsonlCache:
             if self._file is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._file = open(self.path, "ab", buffering=0)
-            self._file.write(line)
+            flock(self._file.fileno(), LOCK_EX)
+            try:
+                self._file.write(line)
+            finally:
+                flock(self._file.fileno(), LOCK_UN)
             self._index[record.prompt_hash] = len(self._data)
             self._data += line
 
@@ -541,7 +559,7 @@ def run_corpus(
     spec: PromptSpec,
     config: ClientConfig,
     cache_path: str | Path,
-    exemplars: tuple[Exemplar, ...] | list[Exemplar] = (),
+    exemplars: Sequence[Entry] = (),
     client: ChatClient | None = None,
 ) -> list[RunRecord]:
     """Obtain one completion per entry, consulting the cache first.
@@ -570,7 +588,7 @@ def run_corpus(
 def lookup_prompts(
     corpus: Sequence[Entry],
     spec: PromptSpec,
-    exemplars: Sequence[Exemplar],
+    exemplars: Sequence[Entry],
     model: str,
     temperature: float,
     cache: JsonlCache,
@@ -611,10 +629,10 @@ def _request(
     """Request each (prompt hash, entry id, messages) once and cache the
     replies; builds and closes a client when none is given.
 
-    The calling thread and ``concurrency - 1`` helper threads each take the
-    next prompt in turn. The first exception on any of them, such as a
-    401/403 or an interrupt, stops every thread from taking another; the
-    helpers are joined, and then it is raised.
+    The calling thread and up to ``concurrency - 1`` helper threads, one
+    thread per prompt at most, each take the next prompt in turn. The first
+    exception on any of them, such as a 401/403 or an interrupt, stops every
+    thread from taking another; the helpers are joined, and then it is raised.
     """
     owned = client is None
     client = client or ChatClient(config)
@@ -664,7 +682,7 @@ def _request(
 
     helpers: list[threading.Thread] = []
     try:
-        for _ in range(config.concurrency - 1):
+        for _ in range(min(config.concurrency, len(prompts)) - 1):
             helper = threading.Thread(target=work)
             helper.start()
             helpers.append(helper)

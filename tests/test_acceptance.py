@@ -14,6 +14,7 @@ import time
 from contextlib import contextmanager
 
 from neogate import (
+    Entry,
     adapt_corpus,
     aggregate,
     build_prompt,
@@ -30,7 +31,7 @@ from neogate.cli import render_trace
 from neogate.evaluator import EvalCounts, round_half_up
 from neogate.corpus import serialize_annotation
 from neogate.paradigm import adapt_triplets
-from neogate.promptkit import Exemplar, PromptFormat, PromptSpec
+from neogate.promptkit import PromptFormat, PromptSpec
 from neogate.runner import ClientConfig, export_hypotheses, run_corpus
 
 from .conftest import EXAMPLE_CORPUS_TEXT, exact_cwa, split_path
@@ -173,11 +174,13 @@ def test_criterion_06_matcher_oracles(tagset, asterisk, schwa):
 
 def test_criterion_07_prompt_goldens(asterisk):
     with criterion(7, "prompt formats reproduce the documented message structure"):
-        flowers = Exemplar(
+        flowers = Entry(
             entry_id="0001",
             source="I never buy flowers for my friends.",
             ref_masc="Non compro mai fiori per i miei amici.",
             ref_fem="Non compro mai fiori per le mie amiche.",
+            ref_tagged="",
+            triplets=(),
             ref_adapted="Non compro mai fiori per l* mi* amic*.",
         )
         instruction = (

@@ -952,15 +952,10 @@ def test_a_manifest_reads_back_as_its_values_under_the_flag_names(values):
     assert parse_kv(text) == {key.replace("_", "-"): v for key, v in values.items() if v}
 
 
-def test_the_traced_pass_writes_what_evaluate_writes(tmp_path, capsys):
+def assert_the_traced_pass_writes_what_neogate_writes(tmp_path, capsys, argv, names):
+    """``perfbench/traced_call.py`` on ``argv`` exits 0 and prints and writes
+    the files ``names`` under ``--out`` as ``neogate`` does."""
     root = DATA_DIR.parent
-    corpus = str(DATA_DIR / "synthetic-test.tsv")
-    adapted = tmp_path / "adapted.tsv"
-    assert dispatch(["adapt", f"--corpus={corpus}", f"--out-file={adapted}"]) == 0
-    rows = adapted.read_text(encoding="utf-8").splitlines()[1:]
-    hyp = tmp_path / "hyp.txt"
-    hyp.write_text("".join(row.split("\t")[4] + "\n" for row in rows), encoding="utf-8")
-    argv = ["evaluate", f"--corpus={corpus}", f"--hyp={hyp}"]
     assert dispatch([*argv, f"--out={tmp_path / 'plain'}"]) == 0
     traced = subprocess.run(
         [sys.executable, str(root / "perfbench/traced_call.py"), str(tmp_path / "spans.json"),
@@ -972,9 +967,29 @@ def test_the_traced_pass_writes_what_evaluate_writes(tmp_path, capsys):
     )
     assert traced.returncode == 0, traced.stderr
     assert traced.stdout == capsys.readouterr().out
-    for name in (REPORT_KV, TRACE_TSV):
+    for name in names:
         traced_file, plain_file = tmp_path / "traced" / name, tmp_path / "plain" / name
         assert traced_file.read_bytes() == plain_file.read_bytes()
+
+
+def test_the_traced_pass_writes_what_evaluate_writes(tmp_path, capsys):
+    corpus = str(DATA_DIR / "synthetic-test.tsv")
+    adapted = tmp_path / "adapted.tsv"
+    assert dispatch(["adapt", f"--corpus={corpus}", f"--out-file={adapted}"]) == 0
+    rows = adapted.read_text(encoding="utf-8").splitlines()[1:]
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("".join(row.split("\t")[4] + "\n" for row in rows), encoding="utf-8")
+    argv = ["evaluate", f"--corpus={corpus}", f"--hyp={hyp}"]
+    assert_the_traced_pass_writes_what_neogate_writes(tmp_path, capsys, argv, (REPORT_KV, TRACE_TSV))
+
+
+def test_the_traced_pass_writes_what_run_writes(tmp_path, echo_server, capsys):
+    # the plain run fills the cache that the traced pass then reads
+    argv = ["run", f"--corpus={head_of_test_split(tmp_path, 40)}", "--model=m",
+            f"--endpoint={echo_server.url}", f"--cache={tmp_path / 'cache.jsonl'}",
+            "--format=ternary", "--shots=4", f"--dev-corpus={DATA_DIR / 'synthetic-dev.tsv'}"]
+    assert_the_traced_pass_writes_what_neogate_writes(tmp_path, capsys, argv, ("hypotheses.txt",))
+    assert echo_server.calls == 40
 
 
 @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGKILL], ids=["SIGINT", "SIGKILL"])

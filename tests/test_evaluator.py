@@ -19,7 +19,7 @@ from neogate import (
     parse_annotation,
     tokenize,
 )
-from neogate.corpus import Anchor, Triplet
+from neogate.corpus import Anchor, Entry, Triplet
 from neogate.evaluator import (
     Breakdown,
     EntryEval,
@@ -29,7 +29,7 @@ from neogate.evaluator import (
     tokenizer,
 )
 from neogate.errors import NeoGateError
-from neogate.paradigm import AdaptedEntry, adapt_triplets
+from neogate.paradigm import adapt_triplets
 
 from .conftest import exact_cwa
 
@@ -507,7 +507,7 @@ LONG_MARKERS = frozenset({"*", "rə", "l'"})
 @example([([_triplet("il", "la", "l*", Anchor("m", -1))], "maestro il")], MARKERS)
 @example([([_triplet("il", "la", "l*")], "il"), ([_triplet("lo", "la", "l*")], "lo")], MARKERS)
 def test_evaluation_matches_the_old_tokenizer_and_matcher(entries, markers):
-    adapted = [AdaptedEntry(f"e{i}", "", tuple(ts)) for i, (ts, _) in enumerate(entries)]
+    adapted = [Entry(f"e{i}", "", "", "", "", tuple(ts)) for i, (ts, _) in enumerate(entries)]
     hyps = [hyp for _, hyp in entries]
     expected = [
         old_match_entry(

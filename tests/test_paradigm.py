@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import neogate.paradigm
+import neogate.promptkit
 from neogate import adapt_corpus, adapt_reference, parse_corpus, parse_mapping
-from neogate.corpus import serialize_annotation
+from neogate.corpus import Entry, serialize_annotation
 from neogate.errors import NeoGateError
 from neogate.paradigm import CONTENT, TAG_RE, TagsetDefinition, TagSpec, adapt_triplets
 
@@ -176,6 +177,23 @@ def test_adapt_corpus_goldens(tagset, asterisk, schwa, example_corpus):
     (adapted_s,) = adapt_corpus(example_corpus, schwa)
     assert adapted_s.ref_adapted == ADAPTED_REF_SCHWA
     assert serialize_annotation(adapted_s.triplets) == ADAPTED_ANN_SCHWA
+
+
+def test_adapt_corpus_returns_each_entry_realized(test_split, schwa):
+    corpus = test_split[:100]
+    for entry, adapted in zip(corpus, adapt_corpus(corpus, schwa), strict=True):
+        assert type(adapted) is Entry
+        assert entry.ref_adapted == ""
+        assert adapted == entry._replace(
+            triplets=adapt_triplets(entry.triplets, schwa),
+            ref_adapted=adapt_reference(entry.ref_tagged, schwa),
+        )
+
+
+def test_entry_is_the_one_entry_type():
+    assert not {"AdaptedEntry", "Exemplar"} & set(neogate.__all__)
+    assert not hasattr(neogate.paradigm, "AdaptedEntry")
+    assert not hasattr(neogate.promptkit, "Exemplar")
 
 
 def test_adapt_corpus_empty(asterisk):

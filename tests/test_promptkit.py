@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from neogate import (
+    Entry,
     build_prompt,
     extract_translation,
     parse_corpus,
@@ -14,7 +15,6 @@ from neogate import (
 )
 from neogate.errors import NeoGateError
 from neogate.promptkit import (
-    Exemplar,
     PromptFormat,
     PromptSpec,
     SpecMismatch,
@@ -31,11 +31,13 @@ INSTRUCTION_ASTERISK = (
     "masculine and feminine morphemes in words that refer to human beings."
 )
 
-FLOWERS = Exemplar(
+FLOWERS = Entry(
     entry_id="0001",
     source="I never buy flowers for my friends.",
     ref_masc="Non compro mai fiori per i miei amici.",
     ref_fem="Non compro mai fiori per le mie amiche.",
+    ref_tagged="",
+    triplets=(),
     ref_adapted="Non compro mai fiori per l* mi* amic*.",
 )
 
@@ -99,7 +101,7 @@ def test_ternary_one_shot_golden(asterisk):
 def test_messages_alternate_and_end_with_user(asterisk):
     spec = PromptSpec(PromptFormat.DIRECT, 4, asterisk, ("a", "b", "c", "d"))
     exemplars = [
-        Exemplar(i, f"src {i}", f"masc {i}", f"fem {i}", f"neo* {i}")
+        Entry(i, f"src {i}", f"masc {i}", f"fem {i}", "", (), f"neo* {i}")
         for i in ("a", "b", "c", "d")
     ]
     messages = build_prompt("final source", spec, exemplars)
@@ -198,6 +200,19 @@ def test_exemplars_from_corpus(tagset):
     assert one.ref_adapted == "adapted bb"
     with pytest.raises(SpecMismatch, match="zz"):
         exemplars_from_corpus(corpus, adapted, ("zz",))
+
+
+def test_exemplars_are_dev_entries_with_their_adapted_reference(tagset):
+    from neogate.promptkit import exemplars_from_corpus
+
+    corpus = _mini_dev(tagset)
+    adapted = {e.entry_id: f"adapted {e.entry_id}" for e in corpus}
+    exemplars = exemplars_from_corpus(corpus, adapted, ("ee", "aa"))
+    # the triplets stay tagged: prompts read only the source and references
+    assert exemplars == (
+        corpus[4]._replace(ref_adapted="adapted ee"),
+        corpus[0]._replace(ref_adapted="adapted aa"),
+    )
 
 
 def test_extract_single_span(asterisk):

@@ -8,14 +8,17 @@ import hashlib
 import json
 import logging
 import math
+import os
 import random
 import re
 import shutil
 import socket
+import subprocess
 import sys
 import tempfile
 import threading
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -672,6 +675,133 @@ def test_torn_last_line_is_truncated_and_run_resumes(
     reloaded = JsonlCache(cache_path)
     assert {r.prompt_hash for r in reloaded.records()} == {r.prompt_hash for r in records}
     assert cache_path.read_bytes().startswith(whole)
+
+
+# puts one record, then saves the sidecar, until it is killed; the temp
+# sidecar waits a millisecond to be renamed, so that kills land there often
+PUT_AND_SAVE = """
+import os, sys, time
+from neogate.runner import JsonlCache, RunRecord
+
+rename = os.replace
+os.replace = lambda *names: (time.sleep(0.001), rename(*names))
+with JsonlCache(sys.argv[1]) as cache:
+    i = len(cache)
+    while True:
+        cache.put(RunRecord(f"e{i}", f"k{i}", "<x>" * 40, "ok", "x", "m", "t0", "t1"))
+        cache.save_index()
+        i += 1
+"""
+
+
+def test_a_kill_while_the_sidecar_is_replaced_leaves_a_loadable_cache(tmp_path):
+    path, plain = tmp_path / "cache.jsonl", tmp_path / "plain" / "cache.jsonl"
+    plain.parent.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    opened: list[str] = []
+    recording = [True]
+    # a hook cannot be removed: this one records only during this test
+    sys.addaudithook(
+        lambda event, args: recording[0] and event == "open" and opened.append(str(args[0]))
+    )
+    try:
+        for delay in (0.0, 0.013, 0.029, 0.047):
+            size = path.stat().st_size if path.exists() else 0
+            with subprocess.Popen([sys.executable, "-c", PUT_AND_SAVE, str(path)], env=env) as proc:
+                deadline = time.monotonic() + 30
+                while not (path.exists() and path.stat().st_size > size):
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.002)
+                time.sleep(delay)
+                proc.kill()
+            plain.write_bytes(path.read_bytes())
+            keys = [f"k{i}" for i in range(path.read_bytes().count(b"\n") + 1)]
+            opened.clear()
+            loaded = JsonlCache(path).get_many(keys)
+            assert not [name for name in opened if name.endswith(".tmp")]
+            assert loaded == JsonlCache(plain).get_many(keys)  # no sidecar: every line checked
+            assert path.read_bytes() == plain.read_bytes()  # the same torn tail cut
+    finally:
+        recording[0] = False
+
+
+def test_a_load_waits_for_the_record_another_run_is_writing(tmp_path):
+    fcntl = pytest.importorskip("fcntl")
+    path = tmp_path / "cache.jsonl"
+    write_lines(path, make_record(key="k1"))
+    line = (make_record(key="k2").to_json() + "\n").encode()
+    lengths = []
+    load = threading.Thread(target=lambda: lengths.append(len(JsonlCache(path))))
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        # another run's put, in two writes under the lock that a put holds
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        os.write(fd, line[:40])
+        load.start()
+        time.sleep(0.05)  # the load meets the half-written record
+        os.write(fd, line[40:])
+        fcntl.flock(fd, fcntl.LOCK_UN)
+        load.join(timeout=10)
+    finally:
+        os.close(fd)
+    assert lengths == [2]
+    records = {key: make_record(key=key) for key in ("k1", "k2")}
+    assert JsonlCache(path).get_many(records) == records
+
+
+def test_two_runs_on_one_cache_both_finish_and_leave_it_loadable(
+    wide_corpus, zero_spec, tmp_path
+):
+    path = tmp_path / "c.jsonl"
+    config = ClientConfig(endpoint="http://127.0.0.1:9/v1", model="m", concurrency=2)
+    answered = threading.Event()
+    outcomes = {}
+
+    def run(name, client):
+        try:
+            outcomes[name] = run_corpus(wide_corpus, zero_spec, config, path, client=client)
+        except BaseException as exc:
+            outcomes[name] = exc
+
+    # the second run loads the cache while the first appends, and then
+    # requests some of the prompts that the first is requesting too
+    first = EchoClient(delay=lambda: 0.002, fail=lambda source: answered.set())
+    thread = threading.Thread(target=run, args=("first", first))
+    thread.start()
+    assert answered.wait(10)
+    run("second", EchoClient(delay=lambda: 0.002))
+    thread.join(timeout=30)
+    sources = [e.source for e in wide_corpus]
+    for records in outcomes.values():
+        assert [r.translation for r in records] == sources
+    assert len(outcomes) == 2
+    assert len(JsonlCache(path)) == len(sources)
+    rerun = EchoClient()
+    run_corpus(wide_corpus, zero_spec, config, path, client=rerun)
+    assert rerun.sources == []
+
+
+def test_no_more_helper_threads_than_missing_prompts(
+    small_corpus, zero_spec, tmp_path, monkeypatch
+):
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    path = tmp_path / "c.jsonl"
+    config = ClientConfig(endpoint="http://127.0.0.1:9/v1", model="m", concurrency=8)
+    run_corpus(small_corpus[:1], zero_spec, config, path, client=EchoClient())
+    monkeypatch.setattr(
+        runner, "threading", types.SimpleNamespace(**{**vars(threading), "Thread": CountedThread})
+    )
+    client = EchoClient()
+    records = run_corpus(small_corpus, zero_spec, config, path, client=client)
+    assert len(client.sources) == 2
+    assert len(started) <= 1
+    assert [r.translation for r in records] == [e.source for e in small_corpus]
 
 
 def test_run_corpus_against_echo(echo_server, small_corpus, zero_spec, tmp_path):
