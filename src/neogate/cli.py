@@ -226,33 +226,17 @@ def cmd_prompt(args: argparse.Namespace) -> int:
     return 0
 
 
-# the flag of each ClientConfig field that checks its value
-_CONFIG_FLAGS = {
-    "temperature": "--temperature",
-    "timeout": "--timeout",
-    "max_retries": "--retries",
-    "rate_limit": "--rate-limit",
-    "concurrency": "--concurrency",
-}
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     from .runner import ClientConfig, export_hypotheses, run_corpus
 
     _require(args, "corpus", "endpoint", "model", "out")
+    # the option dest of each ClientConfig field, which names its flag too
+    dests = {field: field for field in ClientConfig._fields} | {"max_retries": "retries"}
     try:
-        config = ClientConfig(
-            endpoint=args.endpoint,
-            model=args.model,
-            temperature=args.temperature,
-            timeout=args.timeout,
-            max_retries=args.retries,
-            rate_limit=args.rate_limit,
-            concurrency=args.concurrency,
-        )
+        config = ClientConfig(**{field: getattr(args, dest) for field, dest in dests.items()})
     except ValueError as exc:  # its message starts with the field's name
         field, _, reason = str(exc).partition(" ")
-        raise UsageError(f"{_CONFIG_FLAGS[field]} {reason}") from exc
+        raise UsageError(f"--{dests[field].replace('_', '-')} {reason}") from exc
     tagset, corpus, mapping = _load_inputs(args)
     spec, exemplars = _build_spec(args, mapping, tagset)
     out_dir = Path(args.out)
@@ -278,7 +262,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     )
     if missing:
         key, entry_id, _ = missing[0]
-        raise NeoGateError(f"no cached record for entry {entry_id} (prompt hash {key})")
+        absent = "" if Path(args.cache).exists() else f": {args.cache} does not exist"
+        raise NeoGateError(f"no cached record for entry {entry_id} (prompt hash {key}){absent}")
     translations = (extract_translation(records[key].raw, spec) for key in hashes)
     _emit(args.out_file, hypothesis_file(translations))
     return 0

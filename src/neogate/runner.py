@@ -191,8 +191,8 @@ class JsonlCache:
     whole file. Only ``save_index`` writes the sidecar. A ``RunRecord`` is
     decoded from its line only when it is read. Appends go through one
     handle, so close the cache, or use it in ``with``, once it has put.
-    A load and each append hold the file's ``flock``, so no load cuts off
-    a record that another run is still writing.
+    A load, each append and each sidecar replace hold the file's ``flock``,
+    so no load cuts off a record that another run is still writing.
     """
 
     def __init__(self, path: str | Path):
@@ -282,7 +282,8 @@ class JsonlCache:
     def save_index(self) -> None:
         """Write the sidecar for the records this instance holds, unless it
         covers them already: a header line with the length and digest, then
-        the index. The sidecar is replaced atomically. One that cannot be
+        the index. It is written to ``<path>.idx.tmp`` and renamed over the
+        sidecar under the cache's ``flock``. One that cannot be
         written only costs the next load a full check, and a torn one is
         never trusted, so it is neither synced nor reported."""
         with self._lock:
@@ -295,16 +296,17 @@ class JsonlCache:
             digest.update(body)
             self._indexed = length
         header = {"version": _INDEX_VERSION, "length": length, "sha256": digest.hexdigest()}
-        tmp = self.index_path.with_name(
-            f"{self.index_path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
-        )
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(json.dumps(header).encode("ascii") + b"\n")
-                fh.write(body)
-            os.replace(tmp, self.index_path)
-        except OSError:
-            with contextlib.suppress(OSError):
+        tmp = self.index_path.with_name(self.index_path.name + ".tmp")
+        with contextlib.suppress(OSError), open(self.path, "rb") as cache:
+            # one writer at a time replaces the sidecar, so one temp name
+            # serves them all, and a failed replace unlinks only its own
+            flock(cache.fileno(), LOCK_EX)
+            try:
+                with open(tmp, "wb") as fh:
+                    fh.write(json.dumps(header).encode("ascii") + b"\n")
+                    fh.write(body)
+                os.replace(tmp, self.index_path)
+            except OSError:
                 tmp.unlink()
 
     def _record(self, key: str, start: int) -> RunRecord:
@@ -391,23 +393,6 @@ class JsonlCache:
 
     def __len__(self) -> int:
         return len(self._index)
-
-
-class _Throttle:
-    def __init__(self, rate: float):
-        self.interval = 1.0 / rate if rate > 0 else 0.0
-        self._lock = threading.Lock()
-        self._next_at = 0.0
-
-    def wait(self) -> None:
-        if not self.interval:
-            return
-        with self._lock:
-            now = time.monotonic()
-            delay = self._next_at - now
-            self._next_at = max(now, self._next_at) + self.interval
-        if delay > 0:
-            time.sleep(delay)
 
 
 def _utcnow() -> str:
@@ -630,20 +615,22 @@ def _request(
     replies; builds and closes a client when none is given.
 
     The calling thread and up to ``concurrency - 1`` helper threads, one
-    thread per prompt at most, each take the next prompt in turn. The first
+    thread per prompt at most, each take the next prompt in turn. With a
+    ``rate_limit``, each prompt comes with its send time: the first at once,
+    each later one ``1 / rate_limit`` s after the last one's. The first
     exception on any of them, such as a 401/403 or an interrupt, stops every
     thread from taking another; the helpers are joined, and then it is raised.
     """
     owned = client is None
     client = client or ChatClient(config)
-    throttle = _Throttle(config.rate_limit)
+    interval = 1 / config.rate_limit if config.rate_limit else 0.0
+    next_at = 0.0  # the send time of the next prompt, when paced
     records: list = [None] * len(prompts)  # each filled at its prompt's index
     todo = enumerate(prompts)
     lock = threading.Lock()
     failures: list[BaseException] = []
 
     def fetch(key: str, entry_id: str, messages: list[ChatMessage]) -> RunRecord:
-        throttle.wait()
         requested_at = _utcnow()
         try:
             raw = client.complete(messages)
@@ -668,8 +655,16 @@ def _request(
         return record
 
     def take() -> tuple[int, tuple[str, str, list[ChatMessage]]] | None:
+        nonlocal next_at
+        delay = 0.0
         with lock:
-            return None if failures else next(todo, None)
+            item = None if failures else next(todo, None)
+            if item and interval:  # the prompt comes with its send time
+                now = time.monotonic()
+                delay, next_at = next_at - now, max(now, next_at) + interval
+        if delay > 0:
+            time.sleep(delay)
+        return item
 
     def work() -> None:
         try:

@@ -215,6 +215,10 @@ def failure_case(case, corpus_file, tmp_path, request) -> tuple[list[str], str]:
             f"{bad}: bad record at byte offset {len(good.encode())}: "
             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
         )
+    if case == "missing-cache":
+        argv = ["extract", f"--corpus={corpus_file}", "--model=m", f"--cache={bad}"]
+        key = prompt_key(argv, EXAMPLE_SOURCE)
+        return argv, f"no cached record for entry 0001 (prompt hash {key}): {bad} does not exist"
     assert case == "rejected-credentials"
     server = request.getfixturevalue("echo_server")
     server.script = [401]
@@ -226,7 +230,7 @@ def failure_case(case, corpus_file, tmp_path, request) -> tuple[list[str], str]:
     "case",
     ["malformed-row", "unknown-tag", "bad-anchor", "unmapped-reference-tag", "unknown-paradigm",
      "mapping-lacks-tag", "italian-marker", "empty-dev-corpus", "corrupt-cache-line",
-     "rejected-credentials"],
+     "missing-cache", "rejected-credentials"],
 )
 def test_input_failures_exit_1_with_one_error_line(case, corpus_file, tmp_path, request, capsys):
     argv, message = failure_case(case, corpus_file, tmp_path, request)

@@ -716,6 +716,8 @@ def test_a_kill_while_the_sidecar_is_replaced_leaves_a_loadable_cache(tmp_path):
                 proc.kill()
             plain.write_bytes(path.read_bytes())
             keys = [f"k{i}" for i in range(path.read_bytes().count(b"\n") + 1)]
+            # a killed writer leaves at most the one temp name
+            assert {p.name for p in tmp_path.glob("*.tmp")} <= {"cache.jsonl.idx.tmp"}
             opened.clear()
             loaded = JsonlCache(path).get_many(keys)
             assert not [name for name in opened if name.endswith(".tmp")]
@@ -723,6 +725,34 @@ def test_a_kill_while_the_sidecar_is_replaced_leaves_a_loadable_cache(tmp_path):
             assert path.read_bytes() == plain.read_bytes()  # the same torn tail cut
     finally:
         recording[0] = False
+
+
+def test_writers_on_one_cache_replace_its_sidecar_and_leave_no_temp_file(tmp_path):
+    path, plain = tmp_path / "cache.jsonl", tmp_path / "plain" / "cache.jsonl"
+    keys = [f"k{n}-{i}" for n in range(3) for i in range(50)]
+
+    def write(n):
+        with JsonlCache(path) as cache:
+            for key in keys[n * 50 : (n + 1) * 50]:
+                cache.put(make_record(key=key))
+                cache.save_index()
+
+    # more writers than cores, switching threads often
+    writers = [threading.Thread(target=write, args=(n,)) for n in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(writer.is_alive() for writer in writers)
+    assert not list(tmp_path.glob("*.tmp"))
+    plain.parent.mkdir()
+    plain.write_bytes(path.read_bytes())
+    assert JsonlCache(path).get_many(keys) == JsonlCache(plain).get_many(keys)
 
 
 def test_a_load_waits_for_the_record_another_run_is_writing(tmp_path):
@@ -1042,7 +1072,14 @@ def test_requested_at_is_stamped_after_the_rate_limit_wait(
 ):
     calls = []
     utcnow = runner._utcnow
-    monkeypatch.setattr(runner._Throttle, "wait", lambda self: calls.append("wait"))
+    # a clock that stands still, so every prompt after the first waits
+    clock = types.SimpleNamespace(
+        monotonic=lambda: 0.0,
+        sleep=lambda seconds: calls.append("wait"),
+        strftime=time.strftime,
+        gmtime=time.gmtime,
+    )
+    monkeypatch.setattr(runner, "time", clock)
 
     def stamp():
         calls.append("stamp")
@@ -1051,8 +1088,8 @@ def test_requested_at_is_stamped_after_the_rate_limit_wait(
     monkeypatch.setattr(runner, "_utcnow", stamp)
     config = ClientConfig(endpoint=echo_server.url, model="echo", rate_limit=25.0)
     run_corpus(small_corpus, zero_spec, config, tmp_path / "c.jsonl")
-    # requested_at, then completed_at, for each request
-    assert calls == ["wait", "stamp", "stamp"] * 3
+    # requested_at, then completed_at, for each request; the first goes at once
+    assert calls == ["stamp", "stamp"] + ["wait", "stamp", "stamp"] * 2
 
 
 class EchoClient:
