@@ -346,12 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default="", help="key=value config file; flags win")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.sub_commands = {}
+    parser.sub_commands = sub.choices  # each command's parser by name
 
     def command(name: str, func, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        parser.sub_commands[name] = p
         return p
 
     # every value below is also settable through --config, so nothing is
@@ -407,37 +406,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
-    """Make the key=value lines of the file at ``path`` the defaults of
-    every subcommand, so that flags still win."""
+def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
+    """Make the key=value lines of the file at ``path`` defaults of
+    ``command``, so that flags still win. A key may belong to any
+    subcommand, so one file serves run and evaluate; ``command`` parses its
+    own keys as its ``--key=value`` flags, so argparse checks their types
+    and choices as it does a flag's, and the others go unchecked."""
     values = {
         key.replace("-", "_"): value
         for key, value in parse_kv(_read_text(path)).items()
     }
-    # a key may belong to any subcommand, so one file serves run and evaluate
-    flags = {
-        action.dest: action
+    dests = {
+        action.dest
         for sub in parser.sub_commands.values()
         for action in sub._actions
         if action.option_strings and action.default is not argparse.SUPPRESS
     }
-    unknown = sorted(values.keys() - flags.keys())
+    unknown = sorted(values.keys() - dests)
     if unknown:
         raise UsageError(f"unknown config key {', '.join(unknown)}")
-    # argparse checks choices on command-line values only
-    for key, value in values.items():
-        choices = flags[key].choices
-        if choices is not None and value not in choices:
-            raise UsageError(
-                f"argument {flags[key].option_strings[0]}: invalid choice: {value!r} "
-                f"(choose from {', '.join(choices)})"
-            )
-    # argparse runs each flag's type on a string default, so a bad value
-    # is a usage error; subparsers parse into a fresh namespace, so the
-    # defaults must be set on each of them, each taking only its own keys
-    # so that a command's manifest holds only its own flags
-    for sub in parser.sub_commands.values():
-        sub.set_defaults(**{a.dest: values[a.dest] for a in sub._actions if a.dest in values})
+    sub = parser.sub_commands[command]
+    own = {a.dest: a.option_strings[0] for a in sub._actions if a.dest in values}
+    parsed = sub.parse_args([f"{flag}={values[dest]}" for dest, flag in own.items()])
+    # subparsers parse into a fresh namespace, so the defaults go on the
+    # command's own parser, and its manifest holds only its own flags
+    sub.set_defaults(**{dest: getattr(parsed, dest) for dest in own})
 
 
 def dispatch(argv: list[str] | None = None) -> int:
@@ -447,7 +440,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            _apply_config(parser, args.config)
+            _apply_config(parser, args.command, args.config)
             args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:

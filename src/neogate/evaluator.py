@@ -37,7 +37,7 @@ class EntryEval(NamedTuple):
     correct: int
     found: int
     per_triplet: tuple[Outcome, ...]
-    triplet_classes: tuple[tuple[str, str], ...] = ()  # (kind, number) per triplet
+    triplets: tuple[Triplet, ...] = ()  # the adapted triplets, in per_triplet's order
     unparseable: bool = False
 
 
@@ -124,8 +124,8 @@ def count_neomorphemes(tokens: Sequence[str], markers: Iterable[str]) -> int:
 
 def _prepare(triplet: Triplet) -> tuple:
     """What matching needs of a triplet: its case-folded forms and their
-    outcomes, its anchor distance and case-folded text (None without an
-    anchor), and its (kind, number)."""
+    outcomes, and its anchor distance and case-folded text (None without
+    an anchor)."""
     # a token equal to two of the forms matches the first of them
     forms: dict[str, Outcome] = {}
     forms.setdefault(triplet.tagged_form.casefold(), Outcome.MATCHED_NEO)
@@ -133,13 +133,13 @@ def _prepare(triplet: Triplet) -> tuple:
     forms.setdefault(triplet.fem_form.casefold(), Outcome.MATCHED_FEM)
     anchor = triplet.anchor
     if anchor is None:
-        return forms, 0, None, (triplet.kind, triplet.number)
-    return forms, anchor.distance, anchor.text.casefold(), (triplet.kind, triplet.number)
+        return forms, 0, None
+    return forms, anchor.distance, anchor.text.casefold()
 
 
 def matcher(markers: Iterable[str]) -> Callable[..., EntryEval]:
     """``match_entry`` with ``markers`` fixed. The returned function keeps
-    what it derives from every triplet (case-folded forms, anchor, class)
+    what it derives from every triplet (case-folded forms, anchor)
     and every token (case-folded surface, whether it holds a marker) it has
     seen, so make one per pass over a corpus: both repeat, and the memo goes
     with the function."""
@@ -169,14 +169,12 @@ def matcher(markers: Iterable[str]) -> Callable[..., EntryEval]:
             positions.setdefault(surface, []).append(pos)
         consumed: set[int] = set()
         outcomes: list[Outcome] = []
-        classes: list[tuple[str, str]] = []
         matched = correct = 0
         for triplet in adapted_triplets:
             prepared = known_triplets.get(triplet)
             if prepared is None:
                 prepared = known_triplets[triplet] = _prepare(triplet)
-            forms, distance, anchor_text, klass = prepared
-            classes.append(klass)
+            forms, distance, anchor_text = prepared
             outcome = Outcome.UNMATCHED
             # candidate positions, ascending; no position holds two forms
             hits = [at for form in forms if (at := positions.get(form))]
@@ -203,7 +201,7 @@ def matcher(markers: Iterable[str]) -> Callable[..., EntryEval]:
             correct=correct,
             found=found,
             per_triplet=tuple(outcomes),
-            triplet_classes=tuple(classes),
+            triplets=tuple(adapted_triplets),
             unparseable=unparseable,
         )
 
@@ -244,8 +242,8 @@ def aggregate(entry_evals: Sequence[EntryEval]) -> EvalCounts:
         correct += ev.correct
         found += ev.found
         unparseable += ev.unparseable
-        for outcome, klass in zip(ev.per_triplet, ev.triplet_classes):
-            row = table.setdefault(klass, [0, 0, 0])
+        for outcome, t in zip(ev.per_triplet, ev.triplets):
+            row = table.setdefault((t.kind, t.number), [0, 0, 0])
             row[0] += 1
             if outcome is not Outcome.UNMATCHED:
                 row[1] += 1

@@ -619,7 +619,8 @@ def _request(
     ``rate_limit``, each prompt comes with its send time: the first at once,
     each later one ``1 / rate_limit`` s after the last one's. The first
     exception on any of them, such as a 401/403 or an interrupt, stops every
-    thread from taking another; the helpers are joined, and then it is raised.
+    thread from taking or sending another; the helpers are joined, and then it
+    is raised.
     """
     owned = client is None
     client = client or ChatClient(config)
@@ -664,7 +665,7 @@ def _request(
                 delay, next_at = next_at - now, max(now, next_at) + interval
         if delay > 0:
             time.sleep(delay)
-        return item
+        return None if failures else item  # a failure while it slept drops it
 
     def work() -> None:
         try:

@@ -655,6 +655,36 @@ def test_config_keys_of_other_subcommands_allowed(corpus_file, tmp_path, capsys)
     assert dispatch(["--config", str(config), "stats", "--corpus", str(corpus_file)]) == 0
 
 
+@pytest.mark.parametrize("setting", ["format=bogus", "shots=x"])
+def test_a_bad_config_value_fails_as_the_same_bad_flag(setting, corpus_file, tmp_path, capsys):
+    config = tmp_path / "bad.conf"
+    config.write_text(setting + "\n", encoding="utf-8")
+    argv = ["run", f"--corpus={corpus_file}"]
+    assert dispatch([f"--config={config}", *argv]) == 2
+    from_config = capsys.readouterr().err
+    key, _, value = setting.partition("=")
+    assert dispatch([*argv, f"--{key}", value]) == 2
+    assert from_config == capsys.readouterr().err
+
+
+def test_a_bad_value_of_another_commands_key_does_not_stop_evaluate(tmp_path, capsys):
+    corpus = head_of_test_split(tmp_path, 30)
+    rows = corpus.read_text(encoding="utf-8").splitlines()[1:]
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("".join(row.split("\t")[3] + "\n" for row in rows), encoding="utf-8")
+    shared = tmp_path / "shared.conf"
+    shared.write_text(f"format=bogus\nhyp={hyp}\n", encoding="utf-8")
+    plain, configured = tmp_path / "plain", tmp_path / "configured"
+    argv = ["evaluate", f"--corpus={corpus}"]
+    assert dispatch([*argv, f"--hyp={hyp}", f"--out={plain}"]) == 0
+    assert dispatch([f"--config={shared}", *argv, f"--out={configured}"]) == 0
+    assert (configured / REPORT_KV).read_bytes() == (plain / REPORT_KV).read_bytes()
+    assert "format" not in parse_kv((configured / "manifest.kv").read_text(encoding="utf-8"))
+    # the command that owns the key still checks it
+    assert dispatch([f"--config={shared}", "run", f"--corpus={corpus}"]) == 2
+    assert "argument --format: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("paradigm", sorted(GOLDEN_ADAPT))
 def test_full_split_golden_digests(paradigm, tmp_path, capsys, monkeypatch):
     corpus = str(DATA_DIR / "synthetic-test.tsv")

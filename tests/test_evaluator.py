@@ -166,9 +166,13 @@ def test_match_entry_case_insensitive(tagset, asterisk):
     assert ev.matched == 2
 
 
+def of_class(kind, number):
+    return Triplet("m", "f", "t", "T", kind, number)
+
+
 def test_aggregate_additivity():
-    e1 = EntryEval("a", 3, 3, 3, 3, (Outcome.MATCHED_NEO,) * 3, (("content", "singular"),) * 3)
-    e2 = EntryEval("b", 2, 2, 2, 3, (Outcome.MATCHED_NEO,) * 2, (("function", "plural"),) * 2)
+    e1 = EntryEval("a", 3, 3, 3, 3, (Outcome.MATCHED_NEO,) * 3, (of_class("content", "singular"),) * 3)
+    e2 = EntryEval("b", 2, 2, 2, 3, (Outcome.MATCHED_NEO,) * 2, (of_class("function", "plural"),) * 2)
     counts = aggregate([e1, e2])
     assert (counts.annotations, counts.matched, counts.correct, counts.found) == (5, 5, 5, 6)
     assert counts.breakdowns[("content", "singular")] == Breakdown(3, 3, 3)
@@ -178,7 +182,7 @@ def test_aggregate_additivity():
 def test_aggregate_empty_and_identity():
     empty = aggregate([])
     assert (empty.annotations, empty.matched, empty.correct, empty.found) == (0, 0, 0, 0)
-    single = EntryEval("a", 4, 2, 1, 2, (Outcome.UNMATCHED,) * 4, (("content", "plural"),) * 4)
+    single = EntryEval("a", 4, 2, 1, 2, (Outcome.UNMATCHED,) * 4, (of_class("content", "plural"),) * 4)
     counts = aggregate([single])
     assert (counts.annotations, counts.matched, counts.correct, counts.found) == (4, 2, 1, 2)
 
@@ -188,6 +192,8 @@ def test_breakdowns_sum_to_totals(test_split, asterisk):
 
     adapted = adapt_corpus(test_split[:120], asterisk)
     evals = evaluate_hypotheses(adapted, [a.ref_adapted for a in adapted], asterisk.markers)
+    # each entry's own triplets, not a copy
+    assert all(ev.triplets is entry.triplets for ev, entry in zip(evals, adapted))
     counts = aggregate(evals)
     assert sum(b.annotations for b in counts.breakdowns.values()) == counts.annotations
     assert sum(b.matched for b in counts.breakdowns.values()) == counts.matched
@@ -394,7 +400,7 @@ def old_match_entry(tokens, adapted_triplets, markers, entry_id="", unparseable=
             correct=0,
             found=0,
             per_triplet=(Outcome.UNMATCHED,) * len(adapted_triplets),
-            triplet_classes=tuple((t.kind, t.number) for t in adapted_triplets),
+            triplets=tuple(adapted_triplets),
             unparseable=True,
         )
     surfaces = [t.casefold() for t in tokens]
@@ -435,7 +441,7 @@ def old_match_entry(tokens, adapted_triplets, markers, entry_id="", unparseable=
         correct=correct,
         found=found,
         per_triplet=tuple(outcomes),
-        triplet_classes=tuple((t.kind, t.number) for t in adapted_triplets),
+        triplets=tuple(adapted_triplets),
     )
 
 

@@ -1128,6 +1128,21 @@ def test_auth_failure_stops_every_thread(wide_corpus, zero_spec, tmp_path):
     assert not (tmp_path / "c.jsonl").exists()
 
 
+def test_a_paced_prompt_is_not_sent_after_an_auth_failure(wide_corpus, zero_spec, tmp_path):
+    def reject(source):
+        time.sleep(0.05)
+        raise NeoGateError("endpoint rejected credentials (401)")
+
+    client = EchoClient(fail=reject)
+    config = ClientConfig(
+        endpoint="http://127.0.0.1:9/v1", model="m", rate_limit=5.0, concurrency=2
+    )
+    with pytest.raises(NeoGateError, match=r"rejected credentials \(401\)"):
+        run_corpus(wide_corpus[:6], zero_spec, config, tmp_path / "c.jsonl", client=client)
+    # the other thread took its prompt at once, to send it 0.2 s later
+    assert len(client.sources) == 1
+
+
 @pytest.mark.parametrize("seed, concurrency", [(0, 3), (1, 3), (2, 3), (3, 8)])
 def test_threads_request_each_prompt_once_and_keep_corpus_order(
     seed, concurrency, wide_corpus, zero_spec, tmp_path
