@@ -40,7 +40,6 @@ from .promptkit import (
     SpecMismatch,
     build_prompt,
     exemplars_from_corpus,
-    extract_translation,
     rank_exemplar_candidates,
     render_prompt_dump,
 )
@@ -264,8 +263,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         key, entry_id, _ = missing[0]
         absent = "" if Path(args.cache).exists() else f": {args.cache} does not exist"
         raise NeoGateError(f"no cached record for entry {entry_id} (prompt hash {key}){absent}")
-    translations = (extract_translation(records[key].raw, spec) for key in hashes)
-    _emit(args.out_file, hypothesis_file(translations))
+    _emit(args.out_file, hypothesis_file(records[key].translation for key in hashes))
     return 0
 
 

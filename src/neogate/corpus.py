@@ -314,10 +314,8 @@ def cohen_kappa(labels_a: list[str], labels_b: list[str]) -> float:
         (labels_a.count(label) / n) * (labels_b.count(label) / n)
         for label in labelset
     )
-    if p_e == 1.0:
-        if labels_a == labels_b:
-            return 1.0
-        raise NeoGateError("chance agreement is 1 for differing lists")
+    if p_e == 1.0:  # both lists hold one and the same label throughout
+        return 1.0
     return (p_o - p_e) / (1.0 - p_e)
 
 

@@ -582,9 +582,10 @@ def lookup_prompts(
 
     Returns each entry's prompt hash, the cached record of each hash found,
     and the (prompt hash, entry id, messages) of each missing hash's first
-    entry, in corpus order. When every prompt was found, the cache's
-    sidecar is saved: a run with misses goes on to append, so a sidecar
-    written before its requests would not cover the file it leaves.
+    entry, in corpus order. Each record found carries ``derive_outcome`` of
+    its ``raw``, since a cache outlives its extractor. When every prompt was
+    found, the cache's sidecar is saved: a run with misses goes on to append,
+    so a sidecar written before its requests would not cover the file it leaves.
     """
     head = prompt_head(spec, exemplars)
     finals = [final_message(e.source, spec, not head) for e in corpus]
@@ -594,6 +595,10 @@ def lookup_prompts(
     for i, key in enumerate(hashes):
         first.setdefault(key, i)
     records = cache.get_many(first)
+    for key, record in records.items():
+        translation, outcome = derive_outcome(record.raw, spec)
+        if record.translation != translation or record.outcome != outcome:
+            records[key] = replace(record, translation=translation, outcome=outcome)
     missing = [
         (key, corpus[i].entry_id, head + [finals[i]])
         for key, i in first.items()
@@ -602,6 +607,12 @@ def lookup_prompts(
     if not missing:
         cache.save_index()
     return hashes, records, missing
+
+
+def derive_outcome(raw: str, spec: PromptSpec) -> tuple[str | None, str]:
+    """The ``translation`` and ``outcome`` of a fetched or cached reply."""
+    translation = extract_translation(raw, spec)
+    return translation, "unparseable" if translation is None else "ok"
 
 
 def _request(
@@ -635,12 +646,10 @@ def _request(
         requested_at = _utcnow()
         try:
             raw = client.complete(messages)
+            translation, outcome = derive_outcome(raw, spec)
         except NetworkError as exc:
             _logger().error("entry %s failed: %s", entry_id, exc)
             raw, translation, outcome = "", None, "failed"
-        else:
-            translation = extract_translation(raw, spec)
-            outcome = "unparseable" if translation is None else "ok"
         record = RunRecord(
             entry_id=entry_id,
             prompt_hash=key,

@@ -9,7 +9,6 @@ import os
 import re
 import sys
 import threading
-import time
 import warnings
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -154,20 +153,26 @@ class _EchoHandler(BaseHTTPRequestHandler):
     ``server.script`` can hold a list of HTTP status codes to emit before
     behaving normally, with ``"garbage"`` for a body that is not JSON and
     ``"null"`` for a null ``content``; every request increments
-    ``server.calls`` and appends its raw body to ``server.bodies``. Each request runs on its own thread, so the count is
-    kept under a lock. ``server.delay`` seconds pass before each reply.
+    ``server.calls`` and appends its raw body to ``server.bodies``. A
+    request cut off before its whole body arrived is neither counted nor
+    answered. Each request runs on its own thread, so the count is kept
+    under a lock. With ``server.hold_after`` set to N, every reply after
+    the Nth waits until ``server.release`` is set.
     """
 
     def do_POST(self):  # noqa: N802 (http.server API)
         server = self.server
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length)
+        if len(raw) < length:  # the client went away mid-request
+            return
         with server.lock:
             server.calls += 1
             server.bodies.append(raw)
+            held = server.hold_after is not None and server.calls > server.hold_after
+        if held:
+            server.release.wait(30)
         server.last_auth = self.headers.get("Authorization")
-        if server.delay:  # tests that patch time.sleep would see this call
-            time.sleep(server.delay)
         body = json.loads(raw) if length else {}
         if server.script:
             status = server.script.pop(0)
@@ -208,7 +213,8 @@ def echo_server():
     server.lock = threading.Lock()
     server.script = []
     server.last_auth = None
-    server.delay = 0.0
+    server.hold_after = None
+    server.release = threading.Event()
     # a short poll, so shutdown() does not wait out the default 0.5 s
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
@@ -216,6 +222,7 @@ def echo_server():
     try:
         yield server
     finally:
+        server.release.set()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)

@@ -3,24 +3,27 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import types
 from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neogate import __version__, build_prompt, prompt_hash, runner
+from neogate import __version__, build_prompt, extract_translation, prompt_hash, runner
 from neogate.cli import (
     REPORT_KV,
     REPORT_TXT,
@@ -34,7 +37,7 @@ from neogate.cli import (
     render_report,
 )
 from neogate.evaluator import EvalCounts, MetricReport
-from neogate.runner import JsonlCache, RunRecord
+from neogate.runner import JsonlCache, RunRecord, hypothesis_file
 
 from .conftest import DATA_DIR, EXAMPLE_CORPUS_TEXT, EXAMPLE_SOURCE, HEADER_LINE, split_path
 
@@ -495,6 +498,113 @@ def test_extract_uses_the_records_of_its_model(corpus_file, tmp_path, monkeypatc
     argv = ["extract", f"--corpus={corpus_file}", "--model=c", f"--cache={cache}"]
     assert dispatch(argv) == 1
     assert f"entry 0001 (prompt hash {prompt_key(argv, EXAMPLE_SOURCE)})" in capsys.readouterr().err
+
+
+class ReplyClient(FakeClient):
+    """Replies ``<la traduzione>`` to every prompt."""
+
+    def complete(self, messages) -> str:
+        return "<la traduzione>"
+
+
+def rewrite_records(cache: Path, change) -> None:
+    """Replace each record in ``cache`` with ``change(fields)`` and delete
+    the sidecar, as in a cache that an older extractor wrote."""
+    lines = cache.read_text(encoding="utf-8").splitlines()
+    cache.write_text(
+        "".join(json.dumps(change(json.loads(line)), sort_keys=True) + "\n" for line in lines),
+        encoding="utf-8",
+    )
+    cache.with_name(cache.name + ".idx").unlink(missing_ok=True)
+
+
+def warm_run_and_extract(tmp_path, flags, cache: Path) -> tuple[str, str, str]:
+    """The ``hypotheses.txt`` and stdout of a ``run`` with ``flags`` that
+    finds every prompt in ``cache``, and what ``extract`` writes with them."""
+    before = cache.read_bytes()
+    out, extracted = tmp_path / "warm", tmp_path / "extracted.txt"
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert dispatch(["run", *flags, UNUSED_ENDPOINT, f"--out={out}"]) == 0
+    assert cache.read_bytes() == before  # nothing was fetched
+    assert dispatch(["extract", *flags, f"--out-file={extracted}"]) == 0
+    hyp = (out / "hypotheses.txt").read_text(encoding="utf-8")
+    return hyp, extracted.read_text(encoding="utf-8"), stdout.getvalue()
+
+
+def test_a_warm_run_takes_its_lines_from_raw_as_extract_does(tmp_path, monkeypatch):
+    """A cache outlives the extractor that wrote it: each line comes from
+    the record's ``raw``, not from its stored ``translation``."""
+    monkeypatch.setattr(runner, "ChatClient", ReplyClient)
+    cache = tmp_path / "cache.jsonl"
+    flags = [f"--corpus={head_of_test_split(tmp_path, 5)}", "--model=m", f"--cache={cache}"]
+    assert dispatch(["run", *flags, UNUSED_ENDPOINT, f"--out={tmp_path / 'cold'}"]) == 0
+    rewrite_records(cache, lambda r: {**r, "translation": "OLD " + r["translation"]})
+    warm, extracted, _ = warm_run_and_extract(tmp_path, flags, cache)
+    assert warm == extracted == "la traduzione\n" * 5
+
+
+@pytest.mark.parametrize(
+    "stored, raw, line",
+    [("unparseable", "<ciao>", "ciao"), ("failed", "", "")],
+    ids=["unparseable-that-parses-now", "failed"],
+)
+def test_a_stored_outcome_gives_way_to_the_extraction_of_raw(
+    stored, raw, line, tmp_path, monkeypatch
+):
+    """A record's stored ``outcome`` is not read back: ``raw`` decides it,
+    and a cached record is never ``failed``."""
+    monkeypatch.setattr(runner, "ChatClient", ReplyClient)
+    cache = tmp_path / "cache.jsonl"
+    flags = [f"--corpus={head_of_test_split(tmp_path, 5)}", "--model=m", f"--cache={cache}"]
+    assert dispatch(["run", *flags, UNUSED_ENDPOINT, f"--out={tmp_path / 'cold'}"]) == 0
+    rewrite_records(cache, lambda r: {**r, "raw": raw, "outcome": stored, "translation": None})
+    warm, extracted, stdout = warm_run_and_extract(tmp_path, flags, cache)
+    assert warm == extracted == f"{line}\n" * 5
+    assert f"records=5 failed=0 cache={cache}\n" == stdout
+
+
+# replies built from the pieces extraction looks for, or any text
+REPLIES = st.lists(
+    st.sampled_from(["<", ">", "[Italian, neomorpheme] ", "[italian, NEOMORPHEME]", "a", " "]),
+    max_size=8,
+).map("".join) | st.text(max_size=8)
+STORED = st.tuples(
+    REPLIES,
+    st.none() | st.text(max_size=8),
+    st.sampled_from(["ok", "unparseable", "failed"]) | st.text(max_size=4),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["zero_shot", "ternary"]), st.lists(STORED, min_size=3, max_size=3))
+def test_for_any_cache_contents_a_warm_run_writes_what_extract_does(fmt, stored):
+    """Whatever a cache holds for each prompt, a warm ``run`` and ``extract``
+    write the extraction of each ``raw`` with the current extractor."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        cache = tmp_path / "cache.jsonl"
+        flags = [f"--corpus={head_of_test_split(tmp_path, 3)}", f"--format={fmt}",
+                 f"--shots={int(fmt != 'zero_shot')}", f"--dev-corpus={split_path('dev')}",
+                 "--model=m", f"--cache={cache}"]
+        args = build_parser().parse_args(["extract", *flags])
+        tagset, corpus, mapping = _load_inputs(args)
+        spec, exemplars = _build_spec(args, mapping, tagset)
+        records = [
+            RunRecord(
+                entry_id=entry.entry_id,
+                prompt_hash=prompt_hash(build_prompt(entry.source, spec, exemplars), "m", 0.0),
+                raw=raw,
+                outcome=outcome,
+                translation=translation,
+                model="m",
+                requested_at="t",
+                completed_at="t",
+            )
+            for entry, (raw, translation, outcome) in zip(corpus, stored)
+        ]
+        cache.write_text("".join(r.to_json() + "\n" for r in records), encoding="utf-8")
+        warm, extracted, _ = warm_run_and_extract(tmp_path, flags, cache)
+    assert warm == extracted == hypothesis_file(extract_translation(r, spec) for r, _, _ in stored)
 
 
 def config_spellings(path) -> list[list[str]]:
@@ -1036,7 +1146,8 @@ def test_a_run_process_stopped_midway_resumes(sig, tmp_path, echo_server):
     assert dispatch([*argv, f"--out={tmp_path / 'whole'}"]) == 0
     whole = (tmp_path / "whole/hypotheses.txt").read_bytes()
     prompts = set(echo_server.bodies)
-    echo_server.calls, echo_server.bodies, echo_server.delay = 0, [], 0.01
+    # the 11th reply on waits for the signal, so the run cannot end first
+    echo_server.calls, echo_server.bodies, echo_server.hold_after = 0, [], 10
 
     out = tmp_path / "out"
     command = [sys.executable, "-m", "neogate", *argv, f"--out={out}"]
@@ -1050,6 +1161,7 @@ def test_a_run_process_stopped_midway_resumes(sig, tmp_path, echo_server):
             assert run.poll() is None and time.monotonic() < deadline
             time.sleep(0.005)
         run.send_signal(sig)
+        echo_server.release.set()
         stdout, stderr = run.communicate(timeout=30)
     if sig == signal.SIGINT:
         assert run.returncode == 130
