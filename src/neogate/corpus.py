@@ -84,7 +84,7 @@ def _parse_chunk(chunk: str, tagset: TagsetDefinition) -> Triplet:
             raise NeoGateError(f"triplet {chunk!r} has 4 forms and no anchor")
         if not text:
             raise NeoGateError(f"empty anchor string in {chunk!r}")
-        if not dist.isdigit() or int(dist) < 1:
+        if not (dist.isascii() and dist.isdigit()) or int(dist) < 1:
             raise NeoGateError(
                 f"anchor distance {dist!r} in {chunk!r} is not a positive integer"
             )

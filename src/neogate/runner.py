@@ -166,7 +166,7 @@ def prompt_hash(messages: Sequence[ChatMessage], model: str, temperature: float)
     return hashlib.sha256(request_body(messages, model, temperature)).hexdigest()
 
 
-_INDEX_VERSION = 3
+_INDEX_VERSION = 4
 
 
 def _line_text(data: bytearray, start: int, end: int) -> str:
@@ -271,6 +271,8 @@ class JsonlCache:
                         raise ValueError("not an object with every run record field")
                     if not isinstance(record["prompt_hash"], str):
                         raise ValueError("prompt_hash is not a string")
+                    if not isinstance(record["raw"], str):
+                        raise ValueError("raw is not a string")
                 except ValueError as exc:  # JSONDecodeError included
                     raise NeoGateError(
                         f"{self.path}: bad record at byte offset {offset}: {exc}"
@@ -610,8 +612,9 @@ def lookup_prompts(
 
 
 def derive_outcome(raw: str, spec: PromptSpec) -> tuple[str | None, str]:
-    """The ``translation`` and ``outcome`` of a fetched or cached reply."""
-    translation = extract_translation(raw, spec)
+    """The ``translation`` and ``outcome`` of a fetched or cached reply; a
+    blank translation, as of ``<>``, is unparseable."""
+    translation = extract_translation(raw, spec) or None
     return translation, "unparseable" if translation is None else "ok"
 
 

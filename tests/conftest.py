@@ -3,10 +3,12 @@ synthetic splits, and a scriptable local chat-completions endpoint."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import os
 import re
+import socket
 import sys
 import threading
 import warnings
@@ -150,79 +152,127 @@ def dev_split(tagset):
 class _EchoHandler(BaseHTTPRequestHandler):
     """Replies with the bracketed English source of the last user message.
 
+    It speaks HTTP/1.1 keep-alive with a ``Content-Length`` on every reply,
+    as real endpoints do, so a client reuses its connections here as in use.
+    Each reply goes out in one send (``wbufsize = -1`` buffers it up to the
+    flush that ends the request): headers sent apart from the body meet
+    Nagle's algorithm and the delayed ACK, and stall each request by ~40 ms.
+    As a proxy it refuses every ``CONNECT`` tunnel with 502.
+
     ``server.script`` can hold a list of HTTP status codes to emit before
     behaving normally, with ``"garbage"`` for a body that is not JSON and
     ``"null"`` for a null ``content``; every request increments
-    ``server.calls`` and appends its raw body to ``server.bodies``. A
-    request cut off before its whole body arrived is neither counted nor
-    answered. Each request runs on its own thread, so the count is kept
-    under a lock. With ``server.hold_after`` set to N, every reply after
-    the Nth waits until ``server.release`` is set.
+    ``server.calls`` and appends its raw body to ``server.bodies`` and its
+    ``(path, headers)`` to ``server.requests``. A request cut off before its
+    whole body arrived is neither counted nor answered. With
+    ``server.hold_after`` set to N, every reply after the Nth waits until
+    ``server.release`` is set. With ``server.drop``, each connection is
+    closed after its reply, without a ``Connection: close``.
+
+    Each connection runs on its own thread, so the counts are kept under
+    ``server.lock``; ``server.connections`` counts the accepted ones, and
+    ``server.closed`` is released as each one closes. A keep-alive
+    connection's thread lives until its client closes it, so the threads
+    are not daemons and ``server_close()`` joins them at teardown: none
+    outlives its test, where a later test counts live threads. A connection
+    that the test left open is shut then, and fails the teardown.
     """
+
+    protocol_version = "HTTP/1.1"
+    wbufsize = -1
+
+    def _send(self, status: int, payload: bytes = b"") -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+        self.close_connection |= self.server.drop
 
     def do_POST(self):  # noqa: N802 (http.server API)
         server = self.server
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length)
         if len(raw) < length:  # the client went away mid-request
+            self.close_connection = True
             return
         with server.lock:
             server.calls += 1
             server.bodies.append(raw)
+            server.requests.append((self.path, dict(self.headers)))
             held = server.hold_after is not None and server.calls > server.hold_after
+            status = server.script.pop(0) if server.script else 200
         if held:
             server.release.wait(30)
-        server.last_auth = self.headers.get("Authorization")
-        body = json.loads(raw) if length else {}
-        if server.script:
-            status = server.script.pop(0)
-            if status in ("garbage", "null"):
-                self.send_response(200)
-                self.end_headers()
-                if status == "garbage":
-                    self.wfile.write(b"not json at all")
-                else:
-                    self.wfile.write(b'{"choices": [{"message": {"content": null}}]}')
-                return
-            if status != 200:
-                self.send_response(status)
-                self.end_headers()
-                return
+        if status == "garbage":
+            return self._send(200, b"not json at all")
+        if status == "null":
+            return self._send(200, b'{"choices": [{"message": {"content": null}}]}')
+        if status != 200:
+            return self._send(status)
         source = ""
-        for message in reversed(body.get("messages", [])):
+        for message in reversed(json.loads(raw).get("messages", []) if length else []):
             if message.get("role") == "user":
                 found = re.search(r"\[English\] <(.*?)>", message.get("content", ""), re.S)
                 if found:
                     source = found.group(1)
                 break
         payload = json.dumps({"choices": [{"message": {"content": f"<{source}>"}}]})
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(payload.encode("utf-8"))
+        self._send(200, payload.encode("utf-8"))
+
+    def do_CONNECT(self):  # noqa: N802 (http.server API)
+        self.server.requests.append((self.path, dict(self.headers)))
+        self.send_error(502)
 
     def log_message(self, *args):  # silence per-request stderr noise
         pass
 
 
+class _EchoServer(ThreadingHTTPServer):
+    daemon_threads = False  # see _EchoHandler
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _EchoHandler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/chat/completions"
+        self.lock = threading.Condition()
+        self.calls = self.connections = 0
+        self.bodies, self.requests, self.script = [], [], []
+        self.hold_after, self.release = None, threading.Event()
+        self.drop = False
+        self.open = set()  # the sockets of the connections not yet closed
+        self.closed = threading.Semaphore(0)
+
+    def verify_request(self, request, client_address):
+        with self.lock:
+            self.connections += 1
+            self.open.add(request)
+        return True
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self.lock:
+            self.open.discard(request)
+            self.lock.notify_all()
+        self.closed.release()
+
+
 @pytest.fixture
 def echo_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _EchoHandler)
-    server.calls = 0
-    server.bodies = []
-    server.lock = threading.Lock()
-    server.script = []
-    server.last_auth = None
-    server.hold_after = None
-    server.release = threading.Event()
+    server = _EchoServer()
     # a short poll, so shutdown() does not wait out the default 0.5 s
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
-    server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     try:
         yield server
     finally:
         server.release.set()
         server.shutdown()
-        server.server_close()
         thread.join(timeout=5)
+        with server.lock:  # a connection that its client closed ends at once
+            server.lock.wait_for(lambda: not server.open, timeout=2)
+            left = list(server.open)
+        for sock in left:  # ends its thread, so that server_close() cannot hang
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+        server.server_close()
+        assert not left, "the test left a connection open"

@@ -95,6 +95,16 @@ def test_validate_reports_errors_on_stderr(tmp_path, capsys):
     assert "error\t0001" in capsys.readouterr().err
 
 
+def test_validate_reports_a_non_ascii_anchor_distance(tmp_path, capsys):
+    path = tmp_path / "bad.tsv"
+    path.write_text(EXAMPLE_CORPUS_TEXT.replace("<DARTS>;", "<DARTS> dirett=\u00b2;"), "utf-8")
+    assert dispatch(["validate", "--corpus", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error\t-\t-\tline 2 (entry 0001): anchor distance '\u00b2' in "
+        "'il la <DARTS> dirett=\u00b2' is not a positive integer\n"
+    )
+
+
 def test_validate_structural_failure(tmp_path, capsys):
     path = tmp_path / "broken.tsv"
     path.write_text("BAD\tHEADER\n", encoding="utf-8")

@@ -69,6 +69,10 @@ def test_parse_annotation_rejects_bad_anchors(tagset):
         parse_annotation("il la <DARTS> stem=x;", tagset)
     with pytest.raises(NeoGateError, match="anchor distance '0' .* not a positive integer"):
         parse_annotation("il la <DARTS> stem=0;", tagset)
+    # str.isdigit takes these, and int() fails on the first and reads 3 in the second
+    for dist in ("\u00b2", "\u0663"):
+        with pytest.raises(NeoGateError, match=f"anchor distance '{dist}' .* not a positive"):
+            parse_annotation(f"il la <DARTS> stem={dist};", tagset)
     with pytest.raises(NeoGateError, match="content triplet .* carries an anchor"):
         # anchors belong to function words only
         parse_annotation("amico amica amic<ENDS> amic=1;", tagset)

@@ -21,7 +21,6 @@ import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -250,8 +249,10 @@ def test_cache_corruption_reports_offset(tmp_path):
 @pytest.mark.parametrize(
     "line",
     ["{not json", "5", "[]", '"text"', "null", make_record().to_json().replace("outcome", "result"),
-     make_record().to_json().replace('"prompt_hash": "k1"', '"prompt_hash": 1')],
-    ids=["not-json", "number", "list", "string", "null", "missing-field", "hash-not-a-string"],
+     make_record().to_json().replace('"prompt_hash": "k1"', '"prompt_hash": 1'),
+     make_record().to_json().replace('"raw": "<x>"', '"raw": null')],
+    ids=["not-json", "number", "list", "string", "null", "missing-field", "hash-not-a-string",
+         "raw-not-a-string"],
 )
 def test_cache_checks_every_line_at_load(tmp_path, line):
     path = tmp_path / "cache.jsonl"
@@ -484,7 +485,7 @@ def test_version_2_sidecar_is_ignored_then_replaced(tmp_path):
     assert sidecar.read_bytes() == old
     cache.save_index()
     header, _, body = sidecar.read_bytes().partition(b"\n")
-    assert json.loads(header)["version"] == 3
+    assert json.loads(header)["version"] == 4
     assert json.loads(body) == {r.prompt_hash: at for r, at in zip(records, offsets)}
     assert JsonlCache(path).records() == records
     assert path.read_bytes() == data
@@ -906,12 +907,26 @@ def test_each_failed_attempt_logs_one_warning_with_its_cause(
         records = run_corpus(small_corpus[:1], zero_spec, config, tmp_path / "c.jsonl")
     assert [r.outcome for r in records] == ["ok"]
     assert echo_server.calls == 4
+    assert echo_server.connections == 1  # each failed attempt read a whole response
     assert sleeps == [0.2, 0.4, 0.8]
     assert [r.getMessage() for r in caplog.records] == [
         "attempt 1 failed: NetworkError('HTTP 500')",
         "attempt 2 failed: JSONDecodeError('Expecting value: line 1 column 1 (char 0)')",
         "attempt 3 failed: TypeError('content is NoneType, not a string')",
     ]
+
+
+@pytest.mark.parametrize("raw", ["<>", "<   >", "[Italian, neomorpheme] <>"])
+def test_an_empty_bracketed_reply_is_unparseable(raw, small_corpus, zero_spec, asterisk, tmp_path):
+    """As ``evaluate`` counts the blank hypothesis line that it gives."""
+    ternary = PromptSpec(PromptFormat.TERNARY, 1, asterisk, ("e1",))
+    for spec in (zero_spec, ternary):
+        assert runner.derive_outcome(raw, spec) == (None, "unparseable")
+    client = types.SimpleNamespace(complete=lambda messages: raw)
+    config = ClientConfig(endpoint="http://127.0.0.1:9/v1", model="m")
+    run_corpus(small_corpus[:1], zero_spec, config, tmp_path / "c.jsonl", client=client)
+    [stored] = JsonlCache(tmp_path / "c.jsonl").records()
+    assert (stored.outcome, stored.translation) == ("unparseable", None)
 
 
 def test_auth_error_aborts(echo_server, small_corpus, zero_spec, tmp_path):
@@ -1036,7 +1051,7 @@ def test_api_key_header(echo_server, small_corpus, zero_spec, tmp_path, monkeypa
     for key in ("sekret", "clé"):
         monkeypatch.setenv("NEOGATE_API_KEY", key)
         run_corpus(small_corpus[:1], zero_spec, config, tmp_path / f"{key}.jsonl")
-        assert echo_server.last_auth == f"Bearer {key}"
+        assert echo_server.requests[-1][1]["Authorization"] == f"Bearer {key}"
 
 
 def test_request_bodies_are_what_the_cache_keys_hash(
@@ -1242,67 +1257,6 @@ def test_an_interrupt_of_the_calling_thread_stops_the_helpers(wide_corpus, zero_
     assert len(JsonlCache(tmp_path / "c.jsonl")) == len(client.sources) - 1
 
 
-class _KeepAliveHandler(BaseHTTPRequestHandler):
-    """HTTP/1.1 keep-alive chat endpoint that answers ``<ok>`` with a
-    ``Content-Length``; with ``server.drop`` it closes each connection after
-    its response without sending ``Connection: close``. As a proxy it
-    refuses every ``CONNECT`` tunnel with 502."""
-
-    protocol_version = "HTTP/1.1"
-
-    def do_POST(self):  # noqa: N802 (http.server API)
-        self.rfile.read(int(self.headers["Content-Length"]))
-        self.server.requests.append((self.path, dict(self.headers)))
-        payload = json.dumps({"choices": [{"message": {"content": "<ok>"}}]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-        self.close_connection = self.server.drop
-
-    def do_CONNECT(self):  # noqa: N802 (http.server API)
-        self.server.requests.append((self.path, dict(self.headers)))
-        self.send_error(502)
-
-    def log_message(self, *args):
-        pass
-
-
-class _KeepAliveServer(ThreadingHTTPServer):
-    daemon_threads = True
-
-    def __init__(self):
-        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
-        self.connections = 0
-        self.requests = []
-        self.drop = False
-        self.closed = threading.Semaphore(0)
-        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/chat"
-
-    def verify_request(self, request, client_address):
-        self.connections += 1  # runs in the accepting thread only
-        return True
-
-    def shutdown_request(self, request):
-        super().shutdown_request(request)
-        self.closed.release()
-
-
-@pytest.fixture
-def keepalive_server():
-    server = _KeepAliveServer()
-    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-
-
 @pytest.fixture
 def new_client():
     """Build ``ChatClient``s from ``ClientConfig`` fields; closed at teardown."""
@@ -1325,36 +1279,36 @@ def no_proxy_env(monkeypatch):
     return monkeypatch
 
 
-MESSAGES = [ChatMessage("user", "ciao")]
+MESSAGES = [ChatMessage("user", "[English] <ok>")]
 
 
-def test_sequential_calls_share_one_connection(keepalive_server, no_proxy_env, new_client):
-    client = new_client(endpoint=keepalive_server.url)
+def test_sequential_calls_share_one_connection(echo_server, no_proxy_env, new_client):
+    client = new_client(endpoint=echo_server.url)
     assert [client.complete(MESSAGES) for _ in range(5)] == ["<ok>"] * 5
-    assert keepalive_server.connections == 1
+    assert echo_server.connections == 1
 
 
-def test_concurrent_calls_keep_one_connection_per_worker(keepalive_server, no_proxy_env, new_client):
-    client = new_client(endpoint=keepalive_server.url, concurrency=3)
+def test_concurrent_calls_keep_one_connection_per_worker(echo_server, no_proxy_env, new_client):
+    client = new_client(endpoint=echo_server.url, concurrency=3)
     with ThreadPoolExecutor(max_workers=3) as pool:
         replies = list(pool.map(lambda _: client.complete(MESSAGES), range(30)))
     assert replies == ["<ok>"] * 30
-    assert len(keepalive_server.requests) == 30
-    assert keepalive_server.connections <= 3
+    assert len(echo_server.requests) == 30
+    assert echo_server.connections <= 3
 
 
 def test_server_closed_keepalive_is_not_a_failed_attempt(
-    keepalive_server, no_proxy_env, new_client, caplog
+    echo_server, no_proxy_env, new_client, caplog
 ):
-    keepalive_server.drop = True
-    client = new_client(endpoint=keepalive_server.url, max_retries=0)
+    echo_server.drop = True
+    client = new_client(endpoint=echo_server.url, max_retries=0)
     with caplog.at_level(logging.WARNING, logger="neogate.runner"):
         for _ in range(3):
             assert client.complete(MESSAGES) == "<ok>"
             # the server has closed the connection before the next call
-            assert keepalive_server.closed.acquire(timeout=5)
+            assert echo_server.closed.acquire(timeout=5)
     assert caplog.records == []
-    assert keepalive_server.connections == 3
+    assert echo_server.connections == 3
 
 
 class _RefusedOnce:
@@ -1371,59 +1325,59 @@ class _RefusedOnce:
 
 
 def test_an_attempt_that_raises_mid_request_leaves_no_stuck_connection(
-    keepalive_server, no_proxy_env, new_client, monkeypatch
+    echo_server, no_proxy_env, new_client, monkeypatch
 ):
     monkeypatch.setattr(runner.time, "sleep", lambda seconds: None)
-    client = new_client(endpoint=keepalive_server.url, max_retries=1)
+    client = new_client(endpoint=echo_server.url, max_retries=1)
     client._headers["X-Check"] = _RefusedOnce()
     # the first attempt raises inside conn.request; the retry must not
     # meet that connection's half-sent request ("Request-started")
     assert client.complete(MESSAGES) == "<ok>"
-    assert len(keepalive_server.requests) == 1
+    assert len(echo_server.requests) == 1
 
 
-def test_http_proxy_gets_absolute_uri(keepalive_server, no_proxy_env, new_client):
-    port = keepalive_server.server_address[1]
+def test_http_proxy_gets_absolute_uri(echo_server, no_proxy_env, new_client):
+    port = echo_server.server_address[1]
     no_proxy_env.setenv("http_proxy", f"http://user:pw@127.0.0.1:{port}")
     client = new_client(endpoint="http://neogate.invalid/v1/chat")
     assert client.complete(MESSAGES) == "<ok>"
-    [(path, headers)] = keepalive_server.requests
+    [(path, headers)] = echo_server.requests
     assert path == "http://neogate.invalid/v1/chat"
     assert headers["Host"] == "neogate.invalid"
     assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
 
 
-def test_a_proxy_without_a_scheme_is_taken_as_http(keepalive_server, no_proxy_env, new_client):
-    port = keepalive_server.server_address[1]
+def test_a_proxy_without_a_scheme_is_taken_as_http(echo_server, no_proxy_env, new_client):
+    port = echo_server.server_address[1]
     no_proxy_env.setenv("http_proxy", f"127.0.0.1:{port}")
     client = new_client(endpoint="http://neogate.invalid/v1/chat")
     assert client.complete(MESSAGES) == "<ok>"
-    [(path, headers)] = keepalive_server.requests
+    [(path, headers)] = echo_server.requests
     assert path == "http://neogate.invalid/v1/chat"
     assert "Proxy-Authorization" not in headers
 
 
-def test_https_proxy_gets_connect(keepalive_server, no_proxy_env, new_client):
-    port = keepalive_server.server_address[1]
+def test_https_proxy_gets_connect(echo_server, no_proxy_env, new_client):
+    port = echo_server.server_address[1]
     no_proxy_env.setenv("https_proxy", f"http://user:pw@127.0.0.1:{port}")
     client = new_client(endpoint="https://neogate.invalid/v1/chat", max_retries=0)
     with pytest.raises(NetworkError):  # the proxy refuses the tunnel
         client.complete(MESSAGES)
-    [(path, headers)] = keepalive_server.requests
+    [(path, headers)] = echo_server.requests
     assert path == "neogate.invalid:443"
     assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
 
 
-def test_no_proxy_host_goes_direct(keepalive_server, no_proxy_env, new_client):
+def test_no_proxy_host_goes_direct(echo_server, no_proxy_env, new_client):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         dead_port = probe.getsockname()[1]
     no_proxy_env.setenv("http_proxy", f"http://127.0.0.1:{dead_port}")
     no_proxy_env.setenv("no_proxy", "127.0.0.1")
-    client = new_client(endpoint=keepalive_server.url, max_retries=0)
+    client = new_client(endpoint=echo_server.url, max_retries=0)
     assert client.complete(MESSAGES) == "<ok>"
-    [(path, _)] = keepalive_server.requests
-    assert path == "/v1/chat"
+    [(path, _)] = echo_server.requests
+    assert path == "/v1/chat/completions"
 
 
 def test_endpoint_and_proxy_must_be_http_urls(no_proxy_env):
