@@ -6,9 +6,12 @@ The wire format is a chat-completions-style JSON body (``messages``,
 ``model``, ``temperature``); the reply must carry the completion text
 at ``choices[0].message.content``. Cache entries are keyed by the SHA-256
 of that body, so re-running an unchanged configuration never touches the
-network. A run looks every prompt up first; the HTTP client and the
-stdlib network modules are loaded only when some prompt is missing from
-the cache, and ``logging`` only when something is logged.
+network. A run looks every prompt up first; the client and the stdlib
+network modules are loaded only when some prompt is missing from the
+cache, and ``logging`` only when something is logged.
+
+The client speaks keep-alive HTTP/1.1 on one socket per thread: each
+request goes out in one ``sendall``, and ``wire`` reads each reply.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 from .corpus import Entry
-from .errors import NeoGateError
+from .errors import NeoGateError, NetworkError
 from .promptkit import (
     ChatMessage,
     PromptSpec,
@@ -46,10 +49,6 @@ except ImportError:  # no advisory locks here: give each run its own cache
         pass
 
 API_KEY_ENV = "NEOGATE_API_KEY"
-
-
-class NetworkError(NeoGateError):
-    """The endpoint stayed unreachable after all retries."""
 
 
 def _logger():
@@ -403,11 +402,8 @@ def _utcnow() -> str:
 
 
 def _split_url(url: str, schemes: tuple[str, ...], what: str):
-    """The parts and port of an absolute URL with one of ``schemes``.
-
-    The port is explicit even when the URL has none: from a bare
-    ``"::1"``, ``http.client`` would take port 1.
-    """
+    """The parts and port of an absolute URL with one of ``schemes``; the
+    port is the scheme's default when the URL has none."""
     try:
         parts = urlsplit(url)
         port = parts.port or (443 if parts.scheme == "https" else 80)
@@ -418,108 +414,127 @@ def _split_url(url: str, schemes: tuple[str, ...], what: str):
     return parts, port
 
 
+def _close(slot: list) -> None:
+    if slot[0] is not None:
+        slot[0].close()
+        slot[0] = None
+
+
 class ChatClient:
     """Minimal chat-completions client with bounded retries.
 
-    The proxy that ``HTTP(S)_PROXY``/``NO_PROXY`` name and the headers, with
-    the ``NEOGATE_API_KEY`` credential, are settled once, here. Each calling
-    thread keeps one connection to the endpoint or proxy; no redirects.
+    The proxy that ``HTTP(S)_PROXY``/``NO_PROXY`` name, the request head
+    with the ``NEOGATE_API_KEY`` credential, and the TLS context are settled
+    once, here. Each calling thread keeps one keep-alive connection to the
+    endpoint or proxy, writes each request to it in one ``sendall`` and
+    reads the reply with ``wire.read_reply``; no redirects.
     """
 
     def __init__(self, config: ClientConfig):
         # loaded by the first client, not with the module: a run whose
         # prompts are all cached never needs them
         import base64
-        import http.client
         import ssl
         from urllib.request import getproxies, proxy_bypass
+
+        from . import wire
 
         self.config = config
         url, port = _split_url(config.endpoint, ("http", "https"), "endpoint")
         https = url.scheme == "https"
         address = (url.hostname, port)
-        self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
-        self._headers = {"Content-Type": "application/json"}
-        self._tunnel = None
+        target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        host = wire.authority(url.hostname, port, 443 if https else 80)
+        headers = ["Accept-Encoding: identity", "Content-Type: application/json"]
+        tunnel = b""  # the CONNECT request that opens each connection
         proxy = None if proxy_bypass(url.netloc) else getproxies().get(url.scheme)
         if proxy:
             if "://" not in proxy:
                 proxy = "http://" + proxy
             parsed, proxy_port = _split_url(proxy, ("http",), "proxy")
-            proxy_headers = {}
+            auth = []
             if parsed.username:
                 userinfo = f"{unquote(parsed.username)}:{unquote(parsed.password or '')}"
-                proxy_headers["Proxy-Authorization"] = (
-                    "Basic " + base64.b64encode(userinfo.encode()).decode()
-                )
+                credential = base64.b64encode(userinfo.encode()).decode()
+                auth.append(f"Proxy-Authorization: Basic {credential}")
             if https:
-                self._tunnel = (*address, proxy_headers)
+                connect = f"CONNECT {wire.authority(url.hostname, port)} HTTP/1.0"
+                tunnel = "\r\n".join([connect, *auth, "", ""]).encode("latin-1")
             else:
                 # a forward proxy takes the absolute URI
-                self._target = urlunsplit(url._replace(fragment=""))
-                self._headers.update(proxy_headers)
+                target, host = urlunsplit(url._replace(fragment="")), wire.idna(url.netloc)
+                headers += auth
             address = (parsed.hostname, proxy_port)
-        # what http.client cannot send fails here, before any request
-        if not self._target.isascii():
-            raise NeoGateError(f"endpoint request target is not ASCII: {self._target!r}")
+        # what would not go on the wire as it is fails here, before any request
+        for what, text in (("request target", target), ("host", host)):
+            if not text.isascii():
+                raise NeoGateError(f"endpoint {what} is not ASCII: {text!r}")
+            if " " in text or not text.isprintable():
+                raise NeoGateError(
+                    f"endpoint {what} holds a space or a control character: {text!r}"
+                )
         if api_key := os.environ.get(API_KEY_ENV):
             if "\r" in api_key or "\n" in api_key or max(api_key) > "\xff":
                 raise NeoGateError(f"{API_KEY_ENV} holds a line break or a non-Latin-1 character")
-            self._headers["Authorization"] = f"Bearer {api_key}"
-        if https:
-            self._new_connection = partial(
-                http.client.HTTPSConnection,
-                *address,
-                timeout=config.timeout,
-                context=ssl.create_default_context(),
-            )
-        else:
-            self._new_connection = partial(
-                http.client.HTTPConnection, *address, timeout=config.timeout
-            )
-        self._errors = (OSError, http.client.HTTPException)
+            headers.append(f"Authorization: Bearer {api_key}")
+        # each request appends its length, a blank line and its body
+        self._head = "\r\n".join(
+            [f"POST {target} HTTP/1.1", f"Host: {host}", *headers, "Content-Length: "]
+        ).encode("latin-1")
+        tls = ssl.create_default_context() if https else None
+        self._connect = partial(wire.connect, address, config.timeout, tunnel, tls, url.hostname)
+        self._read_reply = wire.read_reply
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._connections: list[http.client.HTTPConnection] = []
+        self._slots: list[list] = []  # each thread's one-item list of its socket or None
 
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._new_connection()
-            if self._tunnel:
-                conn.set_tunnel(*self._tunnel)
-            self._local.conn = conn
+    def _slot(self) -> list:
+        try:
+            return self._local.slot
+        except AttributeError:
+            slot = self._local.slot = [None]
             with self._lock:
-                self._connections.append(conn)
-        return conn
+                self._slots.append(slot)
+            return slot
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
-        """POST on this thread's connection (``connect`` sets TCP_NODELAY).
-        When the server has closed a reused keep-alive connection, the
-        request is sent once more on a new one."""
-        conn = self._connection()
-        reused = conn.sock is not None
+        """POST ``body`` on this thread's connection, in one ``sendall``, and
+        read the reply. When a reused connection is closed or reset before
+        the reply's first byte, the request is sent once more on a new one.
+        After any other failure, or a reply that ends the connection, the
+        next request opens a new one."""
+        slot = self._slot()
+        request = b"".join((self._head, b"%d\r\n\r\n" % len(body), body))
+        reused = slot[0] is not None
         while True:
+            first = b""
             try:
-                conn.request("POST", self._target, body, self._headers)
-                response = conn.getresponse()
-                return response.status, response.read()
+                sock = slot[0] = slot[0] or self._connect()
+                sock.sendall(request)
+                if not (first := sock.recv(65536)):
+                    raise ConnectionResetError("the connection closed before the reply")
+                status, data, keep = self._read_reply(sock, first)
             except BaseException as exc:
-                conn.close()  # after any failure, the next request opens a new one
-                if not (reused and isinstance(exc, ConnectionError)):
+                _close(slot)
+                if not (reused and not first and isinstance(exc, ConnectionError)):
                     raise
                 reused = False
+                continue
+            if not keep:
+                _close(slot)
+            return status, data
 
     def close(self) -> None:
         """Close every thread's connection; call when no request is in flight."""
         with self._lock:
-            for conn in self._connections:
-                conn.close()
+            for slot in self._slots:
+                _close(slot)
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
-        """The reply's content. A failed attempt (network error, status other
-        than 200, no string content) is logged and retried ``max_retries``
-        times, then ``NetworkError`` is raised; a 401/403 raises at once."""
+        """The reply's content. A failed attempt (network error, malformed
+        reply, status other than 200, no string content) is logged and
+        retried ``max_retries`` times, then ``NetworkError`` is raised; a
+        401/403 raises at once."""
         body = request_body(messages, self.config.model, self.config.temperature)
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
@@ -535,7 +550,7 @@ class ChatClient:
                 if not isinstance(content, str):  # null for a refusal or a tool call
                     raise TypeError(f"content is {type(content).__name__}, not a string")
                 return content
-            except (*self._errors, NetworkError, ValueError, LookupError, TypeError) as exc:
+            except (OSError, NetworkError, ValueError, LookupError, TypeError) as exc:
                 last_error = exc
                 _logger().warning("attempt %d failed: %r", attempt + 1, exc)
         raise NetworkError(f"retries exhausted: {last_error}")

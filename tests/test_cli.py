@@ -653,10 +653,12 @@ def test_run_and_config_precedence(corpus_file, tmp_path, echo_server, capsys):
         ("ab\ncd", "/v1", "NEOGATE_API_KEY holds a line break or a non-Latin-1 character"),
         ("key€", "/v1", "NEOGATE_API_KEY holds a line break or a non-Latin-1 character"),
         ("k", "/v1/modèle", "endpoint request target is not ASCII: '/v1/modèle'"),
+        ("k", "/v1 chat", "endpoint request target holds a space or a control character: '/v1 chat'"),
+        ("k", "/v1\x00", "endpoint request target holds a space or a control character: '/v1\\x00'"),
     ],
-    ids=["key-line-break", "key-not-latin-1", "target-not-ascii"],
+    ids=["key-line-break", "key-not-latin-1", "target-not-ascii", "target-space", "target-control"],
 )
-def test_what_http_client_cannot_send_stops_the_run_before_any_request(
+def test_what_cannot_go_on_the_wire_stops_the_run_before_any_request(
     key, path, message, corpus_file, tmp_path, echo_server, monkeypatch, capsys
 ):
     monkeypatch.setenv("NEOGATE_API_KEY", key)
@@ -1001,6 +1003,14 @@ def test_warm_run_loads_no_evaluator(corpus_file, tmp_path, echo_server):
     assert cli_in_subprocess(evaluate, RESOURCE_MODULES) == (0, [])
 
 
+def test_only_a_run_with_a_cache_miss_loads_the_wire_module(corpus_file, tmp_path, echo_server):
+    run = ["run", f"--corpus={corpus_file}", "--model=m", f"--out={tmp_path}",
+           f"--endpoint={echo_server.url}"]
+    assert cli_in_subprocess(run, ("neogate.wire",)) == (0, ["neogate.wire"])
+    assert cli_in_subprocess(run, ("neogate.wire",)) == (0, [])
+    assert echo_server.calls == 1
+
+
 class LineBreakClient(FakeClient):
     """Replies with the source broken by a CR LF, then by a U+2028."""
 
@@ -1188,3 +1198,49 @@ def test_a_run_process_stopped_midway_resumes(sig, tmp_path, echo_server):
     assert (out / "hypotheses.txt").read_bytes() == whole
     assert set(echo_server.bodies) == prompts
     assert echo_server.calls <= len(prompts) + 2  # plus what was in flight
+
+
+# the paper's grid in small: four models, each in two formats and paradigms
+GRID = [
+    (model, fmt, shots, paradigm)
+    for model in ("alpha", "beta", "gamma", "delta")
+    for fmt, shots, paradigm in (("zero_shot", 0, "asterisk"), ("ternary", 4, "schwa"))
+]
+
+
+def test_a_grid_of_run_processes_shares_one_cache(tmp_path, echo_server):
+    """Every cell's ``neogate run`` at once, as real processes on one
+    ``--cache``; then again, with nothing left to request."""
+    corpus = head_of_test_split(tmp_path, 20)
+    sources = [row.split("\t")[1] for row in corpus.read_text(encoding="utf-8").splitlines()[1:]]
+    cache = tmp_path / "cache.jsonl"
+    echo_server.model_in_reply = True  # so a record crossed into another model's cell shows
+    env = {**os.environ, "PYTHONPATH": str(DATA_DIR.parent / "src")}
+
+    def cell_flags(model, fmt, shots, paradigm) -> list[str]:
+        return [f"--corpus={corpus}", f"--model={model}", f"--format={fmt}", f"--shots={shots}",
+                f"--paradigm={paradigm}", f"--dev-corpus={DATA_DIR / 'synthetic-dev.tsv'}",
+                f"--cache={cache}"]
+
+    for _ in range(2):
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "neogate", "run", *cell_flags(*cell), "--concurrency=2",
+                 f"--endpoint={echo_server.url}", f"--out={tmp_path / str(i)}"],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for i, cell in enumerate(GRID)
+        ]
+        for run in runs:
+            stdout, stderr = run.communicate(timeout=60)
+            assert (run.returncode, stderr) == (0, "")
+            assert stdout.startswith("records=20 failed=0 ")
+        # the second round finds every prompt cached and sends none
+        assert echo_server.calls == len(GRID) * 20
+    assert len(JsonlCache(cache)) == len(GRID) * 20
+    for i, cell in enumerate(GRID):
+        hyp = (tmp_path / str(i) / "hypotheses.txt").read_text(encoding="utf-8")
+        assert hyp == "".join(f"{cell[0]} {source}\n" for source in sources)
+        extracted = tmp_path / f"extracted-{i}.txt"
+        assert dispatch(["extract", *cell_flags(*cell), f"--out-file={extracted}"]) == 0
+        assert extracted.read_text(encoding="utf-8") == hyp

@@ -1311,29 +1311,127 @@ def test_server_closed_keepalive_is_not_a_failed_attempt(
     assert echo_server.connections == 3
 
 
-class _RefusedOnce:
-    """A header value that ``http.client`` fails to encode the first time."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def encode(self, encoding: str) -> bytes:
-        self.calls += 1
-        if self.calls == 1:
-            raise ValueError("refused once")
-        return b"v"
-
-
 def test_an_attempt_that_raises_mid_request_leaves_no_stuck_connection(
     echo_server, no_proxy_env, new_client, monkeypatch
 ):
     monkeypatch.setattr(runner.time, "sleep", lambda seconds: None)
+    sendall, cuts = socket.socket.sendall, []
+
+    def cut_once(sock, data):
+        if cuts:
+            return sendall(sock, data)
+        cuts.append(data)
+        sendall(sock, data[:-5])  # all but the end of the body
+        raise OSError("cut mid-request")
+
+    monkeypatch.setattr(socket.socket, "sendall", cut_once)
     client = new_client(endpoint=echo_server.url, max_retries=1)
-    client._headers["X-Check"] = _RefusedOnce()
-    # the first attempt raises inside conn.request; the retry must not
-    # meet that connection's half-sent request ("Request-started")
+    # the first attempt raises inside the send; the retry must not write
+    # into that connection's half-sent request
     assert client.complete(MESSAGES) == "<ok>"
     assert len(echo_server.requests) == 1
+    assert len(cuts) == 1 and echo_server.connections == 2
+
+
+@pytest.fixture
+def sends(monkeypatch):
+    """What the test's thread writes to a socket, one item per ``send`` or
+    ``sendall``; the echo server's threads are not counted."""
+    sent, thread = [], threading.current_thread()
+    for name in ("send", "sendall"):
+
+        def spy(sock, data, *args, _write=getattr(socket.socket, name)):
+            if threading.current_thread() is thread:
+                sent.append(bytes(data))
+            return _write(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, name, spy)
+    return sent
+
+
+def test_each_request_reaches_the_socket_in_one_sendall(
+    echo_server, no_proxy_env, new_client, sends, monkeypatch
+):
+    # headers sent apart from the body meet Nagle's algorithm and the
+    # delayed ACK on a server without TCP_NODELAY
+    monkeypatch.setenv("NEOGATE_API_KEY", "k")
+    client = new_client(endpoint=echo_server.url)
+    for _ in range(3):
+        assert client.complete(MESSAGES) == "<ok>"
+    assert len(sends) == len(echo_server.bodies) == 3
+    for sent, body in zip(sends, echo_server.bodies):
+        assert sent.startswith(b"POST /v1/chat/completions HTTP/1.1\r\n")
+        assert sent.endswith(b"\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body))
+    port = echo_server.server_address[1]
+    assert echo_server.requests[0] == (
+        "/v1/chat/completions",
+        {
+            "Host": f"127.0.0.1:{port}",  # not the default port, so it is named
+            "Accept-Encoding": "identity",
+            "Content-Type": "application/json",
+            "Authorization": "Bearer k",
+            "Content-Length": str(len(echo_server.bodies[0])),
+        },
+    )
+
+
+def test_an_ipv6_endpoint_is_named_in_brackets(echo_server_ipv6, no_proxy_env, new_client):
+    client = new_client(endpoint=echo_server_ipv6.url)
+    assert client.complete(MESSAGES) == "<ok>"
+    [(_, headers)] = echo_server_ipv6.requests
+    assert headers["Host"] == f"[::1]:{echo_server_ipv6.server_address[1]}"
+
+
+@pytest.mark.parametrize(
+    "shape, connections",
+    [("chunked", 1), ("continue", 1), ("trickle", 1), (("headers", 100), 1), ("close", 2)],
+    ids=["chunked", "continue", "trickle", "100-header-lines", "connection-close"],
+)
+def test_a_reply_in_any_framing_is_read_whole(
+    shape, connections, echo_server, no_proxy_env, new_client, sends, caplog
+):
+    echo_server.script = [shape]
+    client = new_client(endpoint=echo_server.url, max_retries=0)
+    with caplog.at_level(logging.WARNING, logger="neogate.runner"):
+        assert [client.complete(MESSAGES) for _ in range(2)] == ["<ok>"] * 2
+    assert caplog.records == []  # no failed attempt
+    assert len(sends) == echo_server.calls == 2  # and no resend
+    # a keep-alive reply leaves its connection for the next request
+    assert echo_server.connections == connections
+
+
+@pytest.mark.parametrize(
+    "shape, cause",
+    [
+        ("cut", "NetworkError('the connection closed mid-reply')"),
+        (("headers", 101), "NetworkError('more than 100 header lines in a reply')"),
+        ("long line", "NetworkError('a reply line is over 65536 bytes')"),
+    ],
+    ids=["cut-mid-body", "101-header-lines", "header-line-over-64-KiB"],
+)
+def test_a_broken_reply_on_a_reused_connection_is_a_failed_attempt(
+    shape, cause, echo_server, no_proxy_env, new_client, sends, caplog, monkeypatch
+):
+    monkeypatch.setattr(runner.time, "sleep", lambda seconds: None)
+    echo_server.script = [200, shape]
+    client = new_client(endpoint=echo_server.url, max_retries=1)
+    with caplog.at_level(logging.WARNING, logger="neogate.runner"):
+        assert [client.complete(MESSAGES) for _ in range(2)] == ["<ok>"] * 2
+    assert [r.getMessage() for r in caplog.records] == [f"attempt 1 failed: {cause}"]
+    # the broken reply was not resent; its retry went out on a new connection
+    assert len(sends) == echo_server.calls == 3
+    assert echo_server.connections == 2
+
+
+def test_a_request_target_or_host_that_cannot_go_on_the_wire_is_refused(no_proxy_env):
+    # test_cli's run test covers a space and a NUL in the path
+    cases = [
+        ("http://h/v1?q=\x7f", "request target holds a space or a control character: '/v1?q=\\x7f'"),
+        ("http://a b/v1", "host holds a space or a control character: 'a b'"),
+    ]
+    for endpoint, message in cases:
+        with pytest.raises(NeoGateError, match=re.escape(f"endpoint {message}")):
+            ChatClient(ClientConfig(endpoint=endpoint, model="m"))
 
 
 def test_http_proxy_gets_absolute_uri(echo_server, no_proxy_env, new_client):
@@ -1366,6 +1464,40 @@ def test_https_proxy_gets_connect(echo_server, no_proxy_env, new_client):
     [(path, headers)] = echo_server.requests
     assert path == "neogate.invalid:443"
     assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+
+
+def test_a_tunnel_names_a_non_ascii_host_in_idna(echo_server, no_proxy_env, new_client):
+    port = echo_server.server_address[1]
+    no_proxy_env.setenv("https_proxy", f"http://127.0.0.1:{port}")
+    client = new_client(endpoint="https://bücher.invalid:8443/v1/chat", max_retries=0)
+    with pytest.raises(NetworkError, match="Tunnel connection failed: 502"):
+        client.complete(MESSAGES)
+    [(path, _)] = echo_server.requests
+    assert path == "xn--bcher-kva.invalid:8443"
+
+
+def test_an_https_endpoint_keeps_one_tls_connection(echo_server_tls, no_proxy_env, new_client):
+    client = new_client(endpoint=echo_server_tls.url)
+    assert [client.complete(MESSAGES) for _ in range(3)] == ["<ok>"] * 3
+    assert echo_server_tls.connections == 1
+    assert echo_server_tls.requests[0][1]["Host"] == f"127.0.0.1:{echo_server_tls.server_address[1]}"
+
+
+def test_an_https_endpoint_behind_a_proxy_is_reached_through_one_tunnel(
+    echo_server, tls_context, no_proxy_env, new_client
+):
+    echo_server.tunnel = tls_context  # the proxy serves the tunnel itself
+    no_proxy_env.setenv("https_proxy", f"http://user:pw@127.0.0.1:{echo_server.server_address[1]}")
+    client = new_client(endpoint="https://neogate.invalid/v1/chat")
+    assert [client.complete(MESSAGES) for _ in range(3)] == ["<ok>"] * 3
+    assert echo_server.connections == 1
+    (connect, connect_headers), (path, headers), *_ = echo_server.requests
+    assert connect == "neogate.invalid:443"
+    assert connect_headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+    # inside the tunnel: the endpoint's own target and host, without its default port
+    assert path == "/v1/chat"
+    assert headers["Host"] == "neogate.invalid"
+    assert "Proxy-Authorization" not in headers
 
 
 def test_no_proxy_host_goes_direct(echo_server, no_proxy_env, new_client):
