@@ -42,11 +42,16 @@ from .promptkit import (
 
 try:
     from fcntl import LOCK_EX, LOCK_UN, flock
+    from os import pread
 except ImportError:  # no advisory locks here: give each run its own cache
     LOCK_EX = LOCK_UN = 0
 
     def flock(fd: int, operation: int) -> None:
         pass
+
+    def pread(fd: int, size: int, offset: int) -> bytes:
+        os.lseek(fd, offset, os.SEEK_SET)  # appends still go to the end
+        return os.read(fd, size)
 
 API_KEY_ENV = "NEOGATE_API_KEY"
 
@@ -204,6 +209,7 @@ class JsonlCache:
         self._index: dict[str, int] = {}
         self._indexed = 0  # the length of _data that the sidecar covers
         self._file = None  # the append handle, from the first put to close
+        self._end = 0  # the file's size after this instance's last append, if known
         if self.path.exists():
             self._load()
 
@@ -363,20 +369,36 @@ class JsonlCache:
 
     def put(self, record: RunRecord) -> None:
         """Append ``record`` in one ``write`` that reaches the file before
-        ``put`` returns. The first ``put`` opens the file, and ``close``
-        closes it."""
+        ``put`` returns, after cutting off a dead writer's fragment. The
+        first ``put`` opens the file, and ``close`` closes it."""
         line = (record.to_json() + "\n").encode("utf-8")
         with self._lock:
             if self._file is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._file = open(self.path, "ab", buffering=0)
-            flock(self._file.fileno(), LOCK_EX)
+                self._file = open(self.path, "a+b", buffering=0)  # read by _cut_fragment
+            fd = self._file.fileno()
+            flock(fd, LOCK_EX)
             try:
+                size = self._cut_fragment(fd)
                 self._file.write(line)
+                self._end = size + len(line)
             finally:
-                flock(self._file.fileno(), LOCK_UN)
+                flock(fd, LOCK_UN)
             self._index[record.prompt_hash] = len(self._data)
             self._data += line
+
+    def _cut_fragment(self, fd: int) -> int:
+        """Cut off a last line without its newline, which under the ``flock``
+        is a dead writer's fragment, as a load cuts it: an append after it
+        would join it. Returns the file's size. A file of the size that this
+        instance's last append left has had nothing appended since, so its
+        last byte is not read."""
+        size = os.fstat(fd).st_size
+        if size not in (0, self._end) and pread(fd, 1, size - 1) != b"\n":
+            size = pread(fd, size, 0).rfind(b"\n") + 1
+            _logger().warning("%s: dropping torn last record at byte offset %d", self.path, size)
+            os.ftruncate(fd, size)
+        return size
 
     def close(self) -> None:
         """Close the file that a ``put`` opened; a later ``put`` opens it
@@ -414,20 +436,16 @@ def _split_url(url: str, schemes: tuple[str, ...], what: str):
     return parts, port
 
 
-def _close(slot: list) -> None:
-    if slot[0] is not None:
-        slot[0].close()
-        slot[0] = None
-
-
 class ChatClient:
     """Minimal chat-completions client with bounded retries.
 
     The proxy that ``HTTP(S)_PROXY``/``NO_PROXY`` name, the request head
     with the ``NEOGATE_API_KEY`` credential, and the TLS context are settled
-    once, here. Each calling thread keeps one keep-alive connection to the
-    endpoint or proxy, writes each request to it in one ``sendall`` and
-    reads the reply with ``wire.read_reply``; no redirects.
+    once, here, from one ``Host`` value without the URL's userinfo. Each
+    calling thread keeps one keep-alive connection to the endpoint or proxy,
+    idle between requests in one table by thread id, writes each request to
+    it in one ``sendall`` and reads the reply with ``wire.read_reply``; no
+    redirects.
     """
 
     def __init__(self, config: ClientConfig):
@@ -447,7 +465,7 @@ class ChatClient:
         host = wire.authority(url.hostname, port, 443 if https else 80)
         headers = ["Accept-Encoding: identity", "Content-Type: application/json"]
         tunnel = b""  # the CONNECT request that opens each connection
-        proxy = None if proxy_bypass(url.netloc) else getproxies().get(url.scheme)
+        proxy = None if proxy_bypass(host) else getproxies().get(url.scheme)
         if proxy:
             if "://" not in proxy:
                 proxy = "http://" + proxy
@@ -461,8 +479,7 @@ class ChatClient:
                 connect = f"CONNECT {wire.authority(url.hostname, port)} HTTP/1.0"
                 tunnel = "\r\n".join([connect, *auth, "", ""]).encode("latin-1")
             else:
-                # a forward proxy takes the absolute URI
-                target, host = urlunsplit(url._replace(fragment="")), wire.idna(url.netloc)
+                target = f"http://{host}{target}"  # a forward proxy takes the absolute URI
                 headers += auth
             address = (parsed.hostname, proxy_port)
         # what would not go on the wire as it is fails here, before any request
@@ -484,18 +501,7 @@ class ChatClient:
         tls = ssl.create_default_context() if https else None
         self._connect = partial(wire.connect, address, config.timeout, tunnel, tls, url.hostname)
         self._read_reply = wire.read_reply
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._slots: list[list] = []  # each thread's one-item list of its socket or None
-
-    def _slot(self) -> list:
-        try:
-            return self._local.slot
-        except AttributeError:
-            slot = self._local.slot = [None]
-            with self._lock:
-                self._slots.append(slot)
-            return slot
+        self._idle: dict = {}  # thread id -> its open connection, while no request uses it
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
         """POST ``body`` on this thread's connection, in one ``sendall``, and
@@ -503,32 +509,34 @@ class ChatClient:
         the reply's first byte, the request is sent once more on a new one.
         After any other failure, or a reply that ends the connection, the
         next request opens a new one."""
-        slot = self._slot()
         request = b"".join((self._head, b"%d\r\n\r\n" % len(body), body))
-        reused = slot[0] is not None
+        thread = threading.get_ident()
+        sock = self._idle.pop(thread, None)
+        reused = sock is not None
         while True:
+            sock = sock or self._connect()
             first = b""
             try:
-                sock = slot[0] = slot[0] or self._connect()
                 sock.sendall(request)
                 if not (first := sock.recv(65536)):
                     raise ConnectionResetError("the connection closed before the reply")
                 status, data, keep = self._read_reply(sock, first)
             except BaseException as exc:
-                _close(slot)
+                sock.close()
                 if not (reused and not first and isinstance(exc, ConnectionError)):
                     raise
-                reused = False
+                sock, reused = None, False
                 continue
-            if not keep:
-                _close(slot)
+            if keep:
+                self._idle[thread] = sock
+            else:
+                sock.close()
             return status, data
 
     def close(self) -> None:
-        """Close every thread's connection; call when no request is in flight."""
-        with self._lock:
-            for slot in self._slots:
-                _close(slot)
+        """Close every idle connection; call when no request is in flight."""
+        while self._idle:
+            self._idle.popitem()[1].close()
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
         """The reply's content. A failed attempt (network error, malformed

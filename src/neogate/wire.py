@@ -21,19 +21,17 @@ MAX_HEADERS = 100  # the most lines in a reply's header block
 _RECV_SIZE = 65536
 
 
-def idna(name: str) -> str:
-    """``name`` in ASCII: IDNA when it is not ASCII already."""
-    try:
-        return name if name.isascii() else name.encode("idna").decode("ascii")
-    except UnicodeError:
-        raise NeoGateError(f"endpoint host is not a valid IDNA name: {name!r}") from None
-
-
 def authority(host: str, port: int, default_port: int = 0) -> str:
     """``host:port`` as a ``Host`` header or a ``CONNECT`` target names it:
-    an IPv6 address in brackets without its zone, and no port when it is
-    ``default_port``."""
-    host = f"[{host.partition('%')[0]}]" if ":" in host else idna(host)
+    an IPv6 address in brackets without its zone, a non-ASCII name in IDNA,
+    and no port when it is ``default_port``."""
+    if ":" in host:
+        host = f"[{host.partition('%')[0]}]"
+    elif not host.isascii():
+        try:
+            host = host.encode("idna").decode("ascii")
+        except UnicodeError:
+            raise NeoGateError(f"endpoint host is not a valid IDNA name: {host!r}") from None
     return host if port == default_port else f"{host}:{port}"
 
 
