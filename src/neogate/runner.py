@@ -8,7 +8,8 @@ at ``choices[0].message.content``. Cache entries are keyed by the SHA-256
 of that body, so re-running an unchanged configuration never touches the
 network. A run looks every prompt up first; the client and the stdlib
 network modules are loaded only when some prompt is missing from the
-cache, and ``logging`` only when something is logged.
+cache, ``urllib.request`` only when a proxy may apply, and ``logging``
+only when something is logged.
 
 The client speaks keep-alive HTTP/1.1 on one socket per thread: each
 request goes out in one ``sendall``, and ``wire`` reads each reply.
@@ -21,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -114,7 +116,17 @@ class RunRecord:
     completed_at: str
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, ensure_ascii=False, sort_keys=True)
+        """``json.dumps(self.__dict__, ensure_ascii=False, sort_keys=True)``
+        for text fields and a text or None ``translation``, without a new
+        encoder per call."""
+        q = encode_basestring
+        translation = "null" if self.translation is None else q(self.translation)
+        return (
+            f'{{"completed_at": {q(self.completed_at)}, "entry_id": {q(self.entry_id)}, '
+            f'"model": {q(self.model)}, "outcome": {q(self.outcome)}, '
+            f'"prompt_hash": {q(self.prompt_hash)}, "raw": {q(self.raw)}, '
+            f'"requested_at": {q(self.requested_at)}, "translation": {translation}}}'
+        )
 
     @classmethod
     def from_json(cls, data: dict) -> "RunRecord":
@@ -137,6 +149,17 @@ def _closing(model: str, temperature: float) -> str:
     )
 
 
+def _opening(head: Sequence[ChatMessage]) -> bytes:
+    """The request body of ``head + rest`` up to ``rest``, which must not be
+    empty unless ``head`` is: encoded once, it serves every ``rest``."""
+    return "".join(['{"messages": [', *(_message_json(m) + ", " for m in head)]).encode("utf-8")
+
+
+def _rest(rest: Sequence[ChatMessage], closing: str) -> bytes:
+    """The request body after ``_opening``."""
+    return (", ".join(map(_message_json, rest)) + closing).encode("utf-8")
+
+
 def request_body(messages: Sequence[ChatMessage], model: str, temperature: float) -> bytes:
     """The chat-completions request for ``messages``: the UTF-8 of
     ``json.dumps({"model": model, "temperature": temperature, "messages":
@@ -152,14 +175,12 @@ def prompt_hasher(
     """The ``prompt_hash`` of ``head + rest`` as a function of ``rest``,
     with ``head`` hashed once; ``rest`` must not be empty unless ``head`` is.
     """
-    opening = hashlib.sha256(
-        "".join(['{"messages": [', *(_message_json(m) + ", " for m in head)]).encode("utf-8")
-    )
+    opening = hashlib.sha256(_opening(head))
     closing = _closing(model, temperature)
 
     def digest(rest: Sequence[ChatMessage]) -> str:
         h = opening.copy()
-        h.update((", ".join(map(_message_json, rest)) + closing).encode("utf-8"))
+        h.update(_rest(rest, closing))
         return h.hexdigest()
 
     return digest
@@ -369,8 +390,10 @@ class JsonlCache:
 
     def put(self, record: RunRecord) -> None:
         """Append ``record`` in one ``write`` that reaches the file before
-        ``put`` returns, after cutting off a dead writer's fragment. The
-        first ``put`` opens the file, and ``close`` closes it."""
+        ``put`` returns, after cutting off a dead writer's fragment. A write
+        cut short, as on a full disk, is cut off too, and raises
+        ``NeoGateError``. The first ``put`` opens the file, and ``close``
+        closes it."""
         line = (record.to_json() + "\n").encode("utf-8")
         with self._lock:
             if self._file is None:
@@ -380,7 +403,13 @@ class JsonlCache:
             flock(fd, LOCK_EX)
             try:
                 size = self._cut_fragment(fd)
-                self._file.write(line)
+                written = self._file.write(line)
+                if written != len(line):
+                    os.ftruncate(fd, size)
+                    raise NeoGateError(
+                        f"{self.path}: wrote {written} of a record's {len(line)} bytes;"
+                        " the part written was cut off"
+                    )
                 self._end = size + len(line)
             finally:
                 flock(fd, LOCK_UN)
@@ -441,7 +470,9 @@ class ChatClient:
 
     The proxy that ``HTTP(S)_PROXY``/``NO_PROXY`` name, the request head
     with the ``NEOGATE_API_KEY`` credential, and the TLS context are settled
-    once, here, from one ``Host`` value without the URL's userinfo. Each
+    once, here, from one ``Host`` value without the URL's userinfo. The
+    encoded head of the last prompt is kept, so prompts that share their
+    messages but the last encode them once. Each
     calling thread keeps one keep-alive connection to the endpoint or proxy,
     idle between requests in one table by thread id, writes each request to
     it in one ``sendall`` and reads the reply with ``wire.read_reply``; no
@@ -450,11 +481,7 @@ class ChatClient:
 
     def __init__(self, config: ClientConfig):
         # loaded by the first client, not with the module: a run whose
-        # prompts are all cached never needs them
-        import base64
-        import ssl
-        from urllib.request import getproxies, proxy_bypass
-
+        # prompts are all cached never needs it
         from . import wire
 
         self.config = config
@@ -465,13 +492,23 @@ class ChatClient:
         host = wire.authority(url.hostname, port, 443 if https else 80)
         headers = ["Accept-Encoding: identity", "Content-Type: application/json"]
         tunnel = b""  # the CONNECT request that opens each connection
-        proxy = None if proxy_bypass(host) else getproxies().get(url.scheme)
+        proxy = None
+        # outside macOS and Windows, urllib.request reads proxies from the
+        # environment alone, and finds none without a *_proxy variable
+        if sys.platform == "darwin" or os.name == "nt" or any(
+            name.lower().endswith("_proxy") for name in os.environ
+        ):
+            from urllib.request import getproxies, proxy_bypass
+
+            proxy = None if proxy_bypass(host) else getproxies().get(url.scheme)
         if proxy:
             if "://" not in proxy:
                 proxy = "http://" + proxy
             parsed, proxy_port = _split_url(proxy, ("http",), "proxy")
             auth = []
             if parsed.username:
+                import base64
+
                 userinfo = f"{unquote(parsed.username)}:{unquote(parsed.password or '')}"
                 credential = base64.b64encode(userinfo.encode()).decode()
                 auth.append(f"Proxy-Authorization: Basic {credential}")
@@ -498,10 +535,18 @@ class ChatClient:
         self._head = "\r\n".join(
             [f"POST {target} HTTP/1.1", f"Host: {host}", *headers, "Content-Length: "]
         ).encode("latin-1")
-        tls = ssl.create_default_context() if https else None
+        tls = None
+        if https:
+            import ssl
+
+            tls = ssl.create_default_context()
         self._connect = partial(wire.connect, address, config.timeout, tunnel, tls, url.hostname)
         self._read_reply = wire.read_reply
         self._idle: dict = {}  # thread id -> its open connection, while no request uses it
+        self._closing = _closing(config.model, config.temperature)
+        # (the messages but the last of the last prompt, their _opening),
+        # replaced whole, so no thread pairs one head with another's bytes
+        self._last_head: tuple = (None, b"")
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
         """POST ``body`` on this thread's connection, in one ``sendall``, and
@@ -543,7 +588,12 @@ class ChatClient:
         reply, status other than 200, no string content) is logged and
         retried ``max_retries`` times, then ``NetworkError`` is raised; a
         401/403 raises at once."""
-        body = request_body(messages, self.config.model, self.config.temperature)
+        head = messages[:-1]
+        last, opening = self._last_head
+        if head != last:
+            opening = _opening(head)
+            self._last_head = (head, opening)
+        body = opening + _rest(messages[-1:], self._closing)  # request_body(messages, ...)
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:

@@ -857,13 +857,14 @@ def test_full_split_golden_digests(paradigm, tmp_path, capsys, monkeypatch):
     assert manifest(tmp_path / "run/manifest.kv") == GOLDEN_RUN_MANIFEST.format(paradigm, __version__)
 
 
-def python_in_subprocess(check: str, *argv: str) -> str:
+def python_in_subprocess(check: str, *argv: str, env=os.environ) -> str:
     """Run ``check`` with ``argv`` in a fresh interpreter without site
-    packages, ``src`` on its path; return its standard output."""
+    packages, in ``env`` with ``src`` on its path; return its standard
+    output."""
     src = Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(
         [sys.executable, "-S", "-c", check, *argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**env, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=60,
@@ -936,23 +937,30 @@ def test_python_m_runs_the_cli(module, tmp_path):
 NETWORK_MODULES = ("concurrent.futures", "http.client", "ssl", "urllib.request")
 
 
-def cli_in_subprocess(argv: list[str], watched=NETWORK_MODULES) -> tuple[int, list[str]]:
-    """Run ``neogate argv`` in a fresh interpreter; return its exit code and
-    the ``watched`` modules it loaded."""
+def cli_in_subprocess(
+    argv: list[str], watched=NETWORK_MODULES, env=os.environ
+) -> tuple[int, list[str]]:
+    """Run ``neogate argv`` in a fresh interpreter in ``env``; return its
+    exit code and the ``watched`` modules it loaded."""
     check = (
         "import sys; from neogate.cli import dispatch; code = dispatch(sys.argv[1:]); "
         f"print(code, *sorted(set({tuple(watched)!r}) & set(sys.modules)))"
     )
-    code, *modules = python_in_subprocess(check, *argv).splitlines()[-1].split()
+    code, *modules = python_in_subprocess(check, *argv, env=env).splitlines()[-1].split()
     return int(code), modules
+
+
+# the environment without a variable that names a proxy or an exception to one
+NO_PROXY_ENV = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
 
 
 def test_warm_run_and_evaluate_load_no_network_modules(corpus_file, tmp_path, echo_server):
     out = tmp_path / "out"
     run = ["run", f"--corpus={corpus_file}", "--model=m", f"--out={out}", "--concurrency=2"]
-    # a cold run requests on its own threads, with no executor
-    cold = ["http.client", "ssl", "urllib.request"]
-    assert cli_in_subprocess(run + [f"--endpoint={echo_server.url}"]) == (0, cold)
+    # a cold run requests on its own threads, with no executor; with no
+    # proxy variable it reads no proxy table, and over http it needs no TLS
+    cold = cli_in_subprocess(run + [f"--endpoint={echo_server.url}"], env=NO_PROXY_ENV)
+    assert cold == (0, [])
     assert echo_server.calls == 1
     assert cli_in_subprocess(run + [f"--endpoint={echo_server.url}"]) == (0, [])
     assert echo_server.calls == 1
@@ -964,6 +972,20 @@ def test_warm_run_and_evaluate_load_no_network_modules(corpus_file, tmp_path, ec
     extract = ["extract", f"--corpus={corpus_file}", "--model=m", f"--cache={out / 'cache.jsonl'}"]
     assert cli_in_subprocess(extract + [f"--out-file={extracted}"]) == (0, [])
     assert extracted.read_bytes() == (out / "hypotheses.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["http_proxy", "NO_PROXY"])
+def test_a_cold_run_with_a_proxy_variable_reads_the_proxy_table(
+    name, corpus_file, tmp_path, echo_server
+):
+    # the echo server serves as its own forward proxy; 127.0.0.1 needs none
+    proxy = f"http://127.0.0.1:{echo_server.server_address[1]}"
+    env = {**NO_PROXY_ENV, name: proxy if name == "http_proxy" else "127.0.0.1"}
+    run = ["run", f"--corpus={corpus_file}", "--model=m", f"--out={tmp_path}",
+           f"--endpoint={echo_server.url}"]
+    assert cli_in_subprocess(run, ("urllib.request",), env) == (0, ["urllib.request"])
+    [(path, _)] = echo_server.requests
+    assert path == (echo_server.url if name == "http_proxy" else "/v1/chat/completions")
 
 
 # what only ``run`` and ``extract`` need: the runner and its stdlib modules

@@ -712,6 +712,47 @@ with JsonlCache(sys.argv[1]) as cache:
 """
 
 
+PUT_PAST_A_FILE_SIZE_LIMIT = """
+import resource, signal, sys
+from neogate.errors import NeoGateError
+from neogate.runner import JsonlCache, RunRecord
+
+# a write past the limit writes what fits and returns its count
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+limit = int(sys.argv[2])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+with JsonlCache(sys.argv[1]) as cache:
+    for i in range(4):
+        try:
+            cache.put(RunRecord("e1", f"k{i}", "<x>", "ok", "x", "m", "t", "t"))
+        except NeoGateError as exc:
+            print(exc)
+"""
+
+
+def test_a_short_write_is_cut_off_and_raises(tmp_path):
+    pytest.importorskip("resource")
+    path = tmp_path / "cache.jsonl"
+    lines = [
+        (RunRecord("e1", f"k{i}", "<x>", "ok", "x", "m", "t", "t").to_json() + "\n").encode()
+        for i in range(2)
+    ]
+    size = len(lines[0])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    child = subprocess.run(
+        [sys.executable, "-c", PUT_PAST_A_FILE_SIZE_LIMIT, str(path), str(size * 5 // 2)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    # the third put wrote half its line, which was cut off, so the fourth
+    # had as much room
+    failed = f"{path}: wrote {size // 2} of a record's {size} bytes; the part written was cut off"
+    assert child.stdout.splitlines() == [failed, failed]
+    assert "torn" not in child.stderr
+    assert path.read_bytes() == b"".join(lines)
+    assert len(JsonlCache(path)) == 2
+
+
 def test_a_kill_while_the_sidecar_is_replaced_leaves_a_loadable_cache(tmp_path):
     path, plain = tmp_path / "cache.jsonl", tmp_path / "plain" / "cache.jsonl"
     plain.parent.mkdir()
@@ -1021,9 +1062,22 @@ def test_export_flattens_newlines():
     assert export_hypotheses([record], ["e1"]) == "due righe\n"
 
 
-def test_record_json_round_trip():
-    record = make_record()
-    assert RunRecord.from_json(json.loads(record.to_json())) == record
+# any text, with the characters that JSON escapes or that break lines
+# weighted up, lone surrogates and characters outside the BMP
+RECORD_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\U0001f600'))
+
+
+@given(st.builds(RunRecord, *[RECORD_TEXT] * 4, st.none() | RECORD_TEXT, *[RECORD_TEXT] * 3))
+@example(make_record())
+@example(
+    dataclasses.replace(
+        make_record(raw='<"\\\n\t\x00\x7f\u2028\u2029é\U0001f600>'), translation=None
+    )
+)
+def test_record_json_round_trip(record):
+    line = record.to_json()
+    assert line == json.dumps(record.__dict__, ensure_ascii=False, sort_keys=True)
+    assert RunRecord.from_json(json.loads(line)) == record
 
 
 @pytest.mark.parametrize(
@@ -1089,6 +1143,31 @@ def test_request_bodies_are_what_the_cache_keys_hash(
     )
     for body in echo_server.bodies:
         assert f'"model": "{model}"'.encode() in body  # UTF-8, not \u escapes
+    # one client keeps the last prompt's encoded head: it sends heads A, A,
+    # B, A, then both in turn from two threads at once, and every body is
+    # its prompt's request_body
+    other = PromptSpec(PromptFormat.DIRECT, 1, asterisk, ("e2",))
+    other_exemplars = exemplars_from_corpus(small_corpus, adapted, ("e2",))
+    a = [build_prompt(e.source, one_shot, exemplars) for e in small_corpus]
+    b = [build_prompt(e.source, other, other_exemplars) for e in small_corpus]
+    assert a[0][:-1] != b[0][:-1]
+    in_turn = [m for pair in zip(a, b) for m in pair]
+    client = ChatClient(config)
+    try:
+        for messages in (a[0], a[1], b[0], a[2]):
+            client.complete(messages)
+        assert echo_server.bodies[6:] == [
+            request_body(m, model, 0.5) for m in (a[0], a[1], b[0], a[2])
+        ]
+        with ThreadPoolExecutor(2) as pool:
+            orders = [in_turn, in_turn[::-1]]
+            replies = pool.map(lambda ms: [client.complete(m) for m in ms], orders)
+            assert [len(r) for r in replies] == [len(in_turn)] * 2
+    finally:
+        client.close()
+    assert sorted(echo_server.bodies[10:]) == sorted(
+        request_body(m, model, 0.5) for m in in_turn * 2
+    )
 
 
 def test_rate_limit_spaces_requests(echo_server, small_corpus, zero_spec, tmp_path):
