@@ -177,6 +177,14 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise UsageError(f"missing {', '.join(f'--{name}' for name in missing)}")
 
 
+def _model(value: str) -> str:
+    """The ``--model`` type: every request carries it as UTF-8, so a byte of
+    argv that the locale could not decode (a lone surrogate) is a usage error."""
+    if any("\ud800" <= c <= "\udfff" for c in value):
+        raise UsageError(f"--model holds a byte that is not text: {value!r}")
+    return value
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     _require(args, "corpus")
     tagset = load_builtin_tagset()
@@ -373,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     _add_spec_flags(p)
     p.add_argument("--endpoint", default="")
-    p.add_argument("--model", default="")
+    p.add_argument("--model", default="", type=_model)
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--retries", type=int, default=2)
@@ -385,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("extract", cmd_extract, "re-extract hypotheses from a run cache")
     _add_input_flags(p)
     _add_spec_flags(p)
-    p.add_argument("--model", default="")
+    p.add_argument("--model", default="", type=_model)
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--cache", default="")
     p.add_argument("--out-file", default="")

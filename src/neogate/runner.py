@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -43,10 +44,10 @@ from .promptkit import (
 )
 
 try:
-    from fcntl import LOCK_EX, LOCK_UN, flock
+    from fcntl import LOCK_EX, LOCK_SH, LOCK_UN, flock
     from os import pread
 except ImportError:  # no advisory locks here: give each run its own cache
-    LOCK_EX = LOCK_UN = 0
+    LOCK_EX = LOCK_SH = LOCK_UN = 0
 
     def flock(fd: int, operation: int) -> None:
         pass
@@ -165,8 +166,7 @@ def request_body(messages: Sequence[ChatMessage], model: str, temperature: float
     ``json.dumps({"model": model, "temperature": temperature, "messages":
     [{"role": ..., "content": ...}, ...]}, ensure_ascii=False,
     sort_keys=True)``. Its SHA-256 is the prompt's ``prompt_hash``."""
-    text = '{"messages": [' + ", ".join(map(_message_json, messages))
-    return (text + _closing(model, temperature)).encode("utf-8")
+    return _opening(messages[:-1]) + _rest(messages[-1:], _closing(model, temperature))
 
 
 def prompt_hasher(
@@ -198,13 +198,6 @@ def _line_text(data: bytearray, start: int, end: int) -> str:
     return data[start:end].decode("utf-8", errors="replace").strip()
 
 
-def _line_end(data: bytearray, start: int) -> int:
-    """The end of the line at ``start``, past its newline; 0 when no newline
-    follows. Every checked record line ends with one, so the index need not
-    keep the end."""
-    return data.find(b"\n", start) + 1
-
-
 class JsonlCache:
     """Append-only JSONL store of run records indexed by prompt hash.
 
@@ -216,8 +209,9 @@ class JsonlCache:
     whole file. Only ``save_index`` writes the sidecar. A ``RunRecord`` is
     decoded from its line only when it is read. Appends go through one
     handle, so close the cache, or use it in ``with``, once it has put.
-    A load, each append and each sidecar replace hold the file's ``flock``,
-    so no load cuts off a record that another run is still writing.
+    A load only reads, under the file's ``flock`` held shared; each append
+    and each sidecar replace hold it alone, so a load sees no append in
+    progress.
     """
 
     def __init__(self, path: str | Path):
@@ -236,24 +230,16 @@ class JsonlCache:
 
     def _load(self) -> None:
         with open(self.path, "rb") as fh:
-            # each put writes under this lock, so a fragment seen under it is
-            # a dead writer's, not an append in progress; closing releases it
-            flock(fh.fileno(), LOCK_EX)
+            # puts hold this lock alone, so a last line without its newline
+            # is a dead writer's fragment: it is left for the next put to cut
+            flock(fh.fileno(), LOCK_SH)
             # read into one buffer: the file is held, not also copied
             data = bytearray(os.fstat(fh.fileno()).st_size)
             del data[fh.readinto(data):]
             data += fh.read()
             self._data = data
             self._indexed = self._checked_prefix()
-            end = self._check(self._indexed)
-            if end < len(data):
-                # a crash cut the last append short: cut the fragment off,
-                # or the next put would join it
-                _logger().warning(
-                    "%s: dropping torn last record at byte offset %d", self.path, end
-                )
-                os.truncate(self.path, end)
-                del data[end:]
+            del data[self._check(self._indexed):]
 
     def _checked_prefix(self) -> int:
         """The length of the prefix that the sidecar vouches for, taking
@@ -339,7 +325,7 @@ class JsonlCache:
 
     def _record(self, key: str, start: int) -> RunRecord:
         try:
-            fields = json.loads(_line_text(self._data, start, _line_end(self._data, start)))
+            fields = json.loads(_line_text(self._data, start, self._data.find(b"\n", start) + 1))
             if fields["prompt_hash"] == key:
                 return RunRecord.from_json(fields)
         except (ValueError, LookupError, TypeError):
@@ -369,9 +355,7 @@ class JsonlCache:
             try:
                 # every line ends with its newline, so the lines decode as
                 # they do one by one
-                lines = b",".join(
-                    [data[start : _line_end(data, start)] for start in starts.values()]
-                )
+                lines = b",".join([data[s : data.find(b"\n", s) + 1] for s in starts.values()])
                 decoded = json.loads("[" + lines.decode("utf-8", errors="replace") + "]")
                 records = {}
                 for key, fields in zip(starts, decoded, strict=True):
@@ -418,7 +402,7 @@ class JsonlCache:
 
     def _cut_fragment(self, fd: int) -> int:
         """Cut off a last line without its newline, which under the ``flock``
-        is a dead writer's fragment, as a load cuts it: an append after it
+        is a dead writer's fragment, with a warning: an append after it
         would join it. Returns the file's size. A file of the size that this
         instance's last append left has had nothing appended since, so its
         last byte is not read."""
@@ -607,7 +591,8 @@ class ChatClient:
                 content = json.loads(data)["choices"][0]["message"]["content"]
                 if not isinstance(content, str):  # null for a refusal or a tool call
                     raise TypeError(f"content is {type(content).__name__}, not a string")
-                return content
+                # a lone surrogate, as of an emoji cut in two, has no UTF-8
+                return re.sub("[\ud800-\udfff]", "\ufffd", content)
             except (OSError, NetworkError, ValueError, LookupError, TypeError) as exc:
                 last_error = exc
                 _logger().warning("attempt %d failed: %r", attempt + 1, exc)

@@ -102,20 +102,26 @@ class _Reader:
     def head(self) -> tuple[str, int, str, dict[str, str]]:
         """The version, status and reason of the reply after any interim
         (1xx) one, and its header fields: each name lower-cased, with the
-        value of its first line."""
+        value of its first line. An obs-fold, a line that starts with a space
+        or a tab, is unfolded into the line above it with one space."""
         while True:
             line = self.line()
             version, status, reason = (line.split(None, 2) + ["", ""])[:3]
             if not (version.startswith("HTTP/1.") and len(status) == 3 and status.isdecimal()):
                 raise NetworkError(f"bad status line: {line!r}")
-            fields: dict[str, str] = {}
+            lines: list[str] = []
             for _ in range(MAX_HEADERS + 1):
                 if not (line := self.line()):
                     break
-                name, _, value = line.partition(":")
-                fields.setdefault(name.strip().lower(), value.strip())
+                if line[0] not in " \t":
+                    lines.append(line)
+                elif lines:  # with no line above, it is dropped (RFC 9112 §2.2)
+                    lines[-1] += " " + line.strip()
             else:
                 raise NetworkError(f"more than {MAX_HEADERS} header lines in a reply")
+            fields: dict[str, str] = {}
+            for name, _, value in (line.partition(":") for line in lines):
+                fields.setdefault(name.strip().lower(), value.strip())
             if int(status) >= 200:
                 return version, int(status), reason, fields
 

@@ -171,7 +171,11 @@ class _EchoHandler(BaseHTTPRequestHandler):
     after a ``100 Continue``; ``"trickle"`` a few bytes per send;
     ``("headers", N)`` with N header lines; ``"long line"`` with a header
     line over 64 KiB; ``"cut"`` with half its body, and then the connection
-    is closed. ``server.model_in_reply`` puts the request's ``model`` before
+    is closed; ``"folded length"`` with its ``Content-Length`` value on a
+    folded line (an obs-fold); ``"folded close"`` with ``Connection:
+    keep-alive,`` and then ``close`` on a folded line; ``"half emoji"`` with
+    the first half of a surrogate pair at the end of its content, as of an
+    emoji cut in two. ``server.model_in_reply`` puts the request's ``model`` before
     the source, as ``<model source>``. Every request increments
     ``server.calls`` and appends its raw body to ``server.bodies`` and its
     ``(path, headers)`` to ``server.requests``. A request cut off before its
@@ -219,6 +223,13 @@ class _EchoHandler(BaseHTTPRequestHandler):
             return
         if shape == "long line":
             return self._send(200, payload, ("X-Filler", "x" * 65536))
+        if shape in ("folded length", "folded close"):  # an obs-fold in the head
+            fields = {
+                "folded length": b"Content-Length:\r\n %d",
+                "folded close": b"Connection: keep-alive,\r\n close\r\nContent-Length: %d",
+            }[shape]
+            self.wfile.write(b"HTTP/1.1 200 OK\r\n%s\r\n\r\n%s" % (fields % len(payload), payload))
+            return
         if shape == "cut":
             self.wfile.write(
                 b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(payload)
@@ -271,6 +282,8 @@ class _EchoHandler(BaseHTTPRequestHandler):
                 break
         if server.model_in_reply:
             source = f"{request.get('model')} {source}"
+        if status == "half emoji":
+            source, status = source + " \ud83d", 200
         payload = json.dumps({"choices": [{"message": {"content": f"<{source}>"}}]})
         if status == 200:
             self._send(200, payload.encode("utf-8"))

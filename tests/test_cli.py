@@ -688,6 +688,41 @@ def test_reply_without_string_content_fails_uncached(corpus_file, tmp_path, echo
     assert (out / "hypotheses.txt").read_text(encoding="utf-8") == EXAMPLE_SOURCE + "\n"
 
 
+def test_a_reply_with_half_a_surrogate_pair_is_cached_and_replayed(
+    corpus_file, tmp_path, echo_server, capsys
+):
+    out = tmp_path / "out"
+    argv = ["run", f"--corpus={corpus_file}", "--model=m", f"--endpoint={echo_server.url}",
+            f"--out={out}"]
+    echo_server.script = ["half emoji"]  # {"content": "<... \\ud83d>"}
+    assert dispatch(argv) == 0
+    assert "records=1 failed=0 " in capsys.readouterr().out
+    hyp = (out / "hypotheses.txt").read_bytes()
+    assert hyp.decode() == f"{EXAMPLE_SOURCE} \ufffd\n"  # a lone surrogate has no UTF-8
+    [line] = (out / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+    assert json.loads(line)["raw"] == f"<{EXAMPLE_SOURCE} \ufffd>"
+    assert dispatch(argv) == 0
+    assert echo_server.calls == 1
+    assert (out / "hypotheses.txt").read_bytes() == hyp
+
+
+@pytest.mark.parametrize("command", ["run", "extract"])
+def test_a_model_that_argv_could_not_decode_is_a_usage_error(command, corpus_file, tmp_path):
+    argv = [command, f"--corpus={corpus_file}", f"--cache={tmp_path / 'cache.jsonl'}"]
+    if command == "run":
+        argv += [UNUSED_ENDPOINT, f"--out={tmp_path / 'out'}"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    # in UTF-8 mode, argv's byte 0xff becomes the lone surrogate U+DCFF
+    result = subprocess.run(
+        [sys.executable, "-m", "neogate", *argv, b"--model=m\xff"],
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONUTF8": "1"},
+        capture_output=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == b"usage error: --model holds a byte that is not text: 'm\\udcff'\n"
+
+
 def test_repeated_entry_id_keeps_each_entry_on_its_line(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "ChatClient", FakeClient)
     corpus = tmp_path / "corpus.tsv"

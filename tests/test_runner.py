@@ -24,8 +24,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from neogate import (
     NeoGateError,
@@ -693,6 +694,113 @@ def test_a_put_cuts_a_dead_writers_fragment_first(tmp_path, caplog):
     ]
     assert path.read_bytes() == whole + (make_record(key="k3").to_json() + "\n").encode()
     assert [r.prompt_hash for r in JsonlCache(path).records()] == ["k1", "k3"]
+
+
+def test_a_load_leaves_a_dead_writers_fragment_and_says_nothing(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    write_lines(path, make_record(key="k1"), make_record(key="k2"))
+    with open(path, "ab") as fh:  # another run died while it appended
+        fh.write(make_record(key="k3").to_json().encode()[:30])
+    torn = path.read_bytes()
+    with caplog.at_level(logging.WARNING, logger="neogate.runner"):
+        cache = JsonlCache(path)
+    assert caplog.records == []
+    assert path.read_bytes() == torn
+    assert len(cache) == 2
+    cache.save_index()  # the sidecar covers the whole lines alone
+    assert JsonlCache(path).get_many(CACHE_KEYS + ["k3"]) == cache.get_many(CACHE_KEYS)
+
+
+def test_a_load_finishes_while_another_handle_holds_the_lock_shared(tmp_path):
+    fcntl = pytest.importorskip("fcntl")
+    path = tmp_path / "cache.jsonl"
+    write_lines(path, make_record(key="k1"))
+    lengths = []
+    load = threading.Thread(target=lambda: lengths.append(len(JsonlCache(path))))
+    with open(path, "rb") as other:  # another run's load
+        fcntl.flock(other.fileno(), fcntl.LOCK_SH)
+        load.start()
+        load.join(timeout=5)
+        finished = not load.is_alive()
+    load.join(timeout=10)  # closing the other handle released its lock
+    assert finished
+    assert lengths == [1]
+
+
+class CacheContract(RuleBasedStateMachine):
+    """The cache as a model: the last ``raw`` put under each key.
+
+    Two long-lived handles put, save the sidecar, look up and reopen, as
+    runs of a grid that share one cache do; a dead writer leaves part of a
+    record without its newline. A handle sees what its load found and its
+    own puts. A fresh load sees the model, changes no byte of the file, and
+    a second fresh load through the sidecar that it saves agrees with it.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.tmp = tempfile.TemporaryDirectory()
+        self.path = Path(self.tmp.name, "cache.jsonl")
+        self.model: dict[str, str] = {}
+        self.handles = [JsonlCache(self.path), JsonlCache(self.path)]
+        self.views: list[dict[str, str]] = [{}, {}]  # what each handle sees
+
+    def teardown(self):
+        for handle in self.handles:
+            handle.close()
+        self.tmp.cleanup()
+
+    @rule(h=st.integers(0, 1), key=st.sampled_from(CACHE_KEYS), raw=st.text(max_size=8))
+    def put(self, h, key, raw):
+        self.handles[h].put(make_record(key=key, raw=raw))
+        self.model[key] = self.views[h][key] = raw
+
+    @rule(h=st.integers(0, 1))
+    def save_index(self, h):
+        self.handles[h].save_index()
+
+    @rule(h=st.integers(0, 1), keys=LOOKUP_KEYS)
+    def get_many(self, h, keys):
+        found = self.handles[h].get_many(keys)
+        view = self.views[h]
+        assert {key: r.raw for key, r in found.items()} == {k: view[k] for k in keys if k in view}
+
+    @rule(h=st.integers(0, 1))
+    def reopen(self, h):
+        self.handles[h].close()
+        self.handles[h] = JsonlCache(self.path)
+        self.views[h] = dict(self.model)
+
+    @rule(n=st.integers(1, 60))
+    def dead_writer(self, n):
+        with open(self.path, "ab") as fh:
+            fh.write(make_record(key="k0", raw="<dead>").to_json().encode()[:n])
+
+    def file(self) -> bytes | None:
+        return self.path.read_bytes() if self.path.exists() else None
+
+    @rule()
+    def fresh_load(self):
+        data = self.file()
+        cache = JsonlCache(self.path)
+        assert self.file() == data
+        found = cache.get_many(CACHE_KEYS)
+        assert {key: r.raw for key, r in found.items()} == self.model
+        cache.save_index()
+        if self.model:  # the sidecar covers every whole line
+            sidecar = self.path.with_name("cache.jsonl.idx").read_bytes()
+            assert json.loads(sidecar.partition(b"\n")[0])["length"] == data.rfind(b"\n") + 1
+        assert JsonlCache(self.path).get_many(CACHE_KEYS) == found
+        assert self.file() == data
+
+    @invariant()
+    def handles_count_what_they_see(self):
+        for handle, view in zip(self.handles, self.views):
+            assert len(handle) == len(view)
+
+
+CacheContract.TestCase.settings = settings(max_examples=100, stateful_step_count=25, deadline=None)
+test_the_cache_keeps_its_contract = CacheContract.TestCase
 
 
 # puts one record, then saves the sidecar, until it is killed; the temp
@@ -1552,14 +1660,17 @@ def test_an_ipv6_endpoint_is_named_in_brackets(echo_server_ipv6, no_proxy_env, n
 
 @pytest.mark.parametrize(
     "shape, connections",
-    [("chunked", 1), ("continue", 1), ("trickle", 1), (("headers", 100), 1), ("close", 2)],
-    ids=["chunked", "continue", "trickle", "100-header-lines", "connection-close"],
+    [("chunked", 1), ("continue", 1), ("trickle", 1), (("headers", 100), 1), ("close", 2),
+     ("folded length", 1), ("folded close", 2)],
+    ids=["chunked", "continue", "trickle", "100-header-lines", "connection-close",
+         "folded-content-length", "folded-connection-close"],
 )
 def test_a_reply_in_any_framing_is_read_whole(
     shape, connections, echo_server, no_proxy_env, new_client, sends, caplog
 ):
     echo_server.script = [shape]
-    client = new_client(endpoint=echo_server.url, max_retries=0)
+    # a reply taken to run to the end of its connection would wait out the timeout
+    client = new_client(endpoint=echo_server.url, max_retries=0, timeout=5)
     with caplog.at_level(logging.WARNING, logger="neogate.runner"):
         assert [client.complete(MESSAGES) for _ in range(2)] == ["<ok>"] * 2
     assert caplog.records == []  # no failed attempt
