@@ -177,14 +177,6 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise UsageError(f"missing {', '.join(f'--{name}' for name in missing)}")
 
 
-def _model(value: str) -> str:
-    """The ``--model`` type: every request carries it as UTF-8, so a byte of
-    argv that the locale could not decode (a lone surrogate) is a usage error."""
-    if any("\ud800" <= c <= "\udfff" for c in value):
-        raise UsageError(f"--model holds a byte that is not text: {value!r}")
-    return value
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     _require(args, "corpus")
     tagset = load_builtin_tagset()
@@ -264,13 +256,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
     _require(args, "corpus", "cache", "model")
     tagset, corpus, mapping = _load_inputs(args)
     spec, exemplars = _build_spec(args, mapping, tagset)
-    hashes, records, missing = lookup_prompts(
-        corpus, spec, exemplars, args.model, args.temperature, JsonlCache(args.cache)
-    )
-    if missing:
-        key, entry_id, _ = missing[0]
-        absent = "" if Path(args.cache).exists() else f": {args.cache} does not exist"
-        raise NeoGateError(f"no cached record for entry {entry_id} (prompt hash {key}){absent}")
+    with JsonlCache(args.cache) as cache:  # saves its sidecar unless this raises
+        hashes, records, missing = lookup_prompts(
+            corpus, spec, exemplars, args.model, args.temperature, cache
+        )
+        if missing:
+            key, entry_id, _ = missing[0]
+            absent = "" if Path(args.cache).exists() else f": {args.cache} does not exist"
+            raise NeoGateError(f"no cached record for entry {entry_id} (prompt hash {key}){absent}")
     _emit(args.out_file, hypothesis_file(records[key].translation for key in hashes))
     return 0
 
@@ -381,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     _add_spec_flags(p)
     p.add_argument("--endpoint", default="")
-    p.add_argument("--model", default="", type=_model)
+    p.add_argument("--model", default="")
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--retries", type=int, default=2)
@@ -393,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("extract", cmd_extract, "re-extract hypotheses from a run cache")
     _add_input_flags(p)
     _add_spec_flags(p)
-    p.add_argument("--model", default="", type=_model)
+    p.add_argument("--model", default="")
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--cache", default="")
     p.add_argument("--out-file", default="")
@@ -445,6 +438,12 @@ def dispatch(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # a lone surrogate is a byte of argv that the locale could not decode
+        for dest, value in vars(args).items():
+            if isinstance(value, str) and not value.isascii():
+                if any("\ud800" <= c <= "\udfff" for c in value):
+                    flag = dest.replace("_", "-")
+                    raise UsageError(f"--{flag} holds a byte that is not text: {value!r}")
         if args.config:
             _apply_config(parser, args.command, args.config)
             args = parser.parse_args(argv)

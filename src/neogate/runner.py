@@ -206,9 +206,12 @@ class JsonlCache:
     last record in it (the record ends at the next newline), and one SHA-256
     over that prefix and that index. A load whose sidecar digest matches
     checks only the lines after that prefix; any other load checks the
-    whole file. Only ``save_index`` writes the sidecar. A ``RunRecord`` is
-    decoded from its line only when it is read. Appends go through one
-    handle, so close the cache, or use it in ``with``, once it has put.
+    whole file. Only ``save_index`` writes the sidecar, and a ``with``
+    block that puts nothing and raises nothing calls it as it ends: after a
+    put the sidecar would be behind the file at once, and a block that
+    raised may have found it wrong. A ``RunRecord`` is decoded from its
+    line only when it is read. Appends go through one handle, so close the
+    cache, or use it in ``with``, once it has put.
     A load only reads, under the file's ``flock`` held shared; each append
     and each sidecar replace hold it alone, so a load sees no append in
     progress.
@@ -424,8 +427,10 @@ class JsonlCache:
     def __enter__(self) -> JsonlCache:
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, exc_type, *exc_info) -> None:
         self.close()
+        if exc_type is None and not self._end:
+            self.save_index()
 
     def __len__(self) -> int:
         return len(self._index)
@@ -622,8 +627,7 @@ def run_corpus(
             corpus, spec, exemplars, config.model, config.temperature, cache
         )
         if missing:
-            fetched = _request(missing, spec, config, cache, client)
-            records.update((r.prompt_hash, r) for r in fetched)
+            records.update(_request(missing, spec, config, cache, client))
     return [
         record if record.entry_id == entry.entry_id else replace(record, entry_id=entry.entry_id)
         for entry, record in zip(corpus, map(records.__getitem__, hashes))
@@ -643,9 +647,7 @@ def lookup_prompts(
     Returns each entry's prompt hash, the cached record of each hash found,
     and the (prompt hash, entry id, messages) of each missing hash's first
     entry, in corpus order. Each record found carries ``derive_outcome`` of
-    its ``raw``, since a cache outlives its extractor. When every prompt was
-    found, the cache's sidecar is saved: a run with misses goes on to append,
-    so a sidecar written before its requests would not cover the file it leaves.
+    its ``raw``, since a cache outlives its extractor.
     """
     head = prompt_head(spec, exemplars)
     finals = [final_message(e.source, spec, not head) for e in corpus]
@@ -664,8 +666,6 @@ def lookup_prompts(
         for key, i in first.items()
         if key not in records
     ]
-    if not missing:
-        cache.save_index()
     return hashes, records, missing
 
 
@@ -682,9 +682,9 @@ def _request(
     config: ClientConfig,
     cache: JsonlCache,
     client: ChatClient | None,
-) -> list[RunRecord]:
-    """Request each (prompt hash, entry id, messages) once and cache the
-    replies; builds and closes a client when none is given.
+) -> dict[str, RunRecord]:
+    """The record of each (prompt hash, entry id, messages), requested once
+    and cached, by its hash; builds and closes a client when none is given.
 
     The calling thread and up to ``concurrency - 1`` helper threads, one
     thread per prompt at most, each take the next prompt in turn. With a
@@ -698,8 +698,8 @@ def _request(
     client = client or ChatClient(config)
     interval = 1 / config.rate_limit if config.rate_limit else 0.0
     next_at = 0.0  # the send time of the next prompt, when paced
-    records: list = [None] * len(prompts)  # each filled at its prompt's index
-    todo = enumerate(prompts)
+    records: dict[str, RunRecord] = {}
+    todo = iter(prompts)
     lock = threading.Lock()
     failures: list[BaseException] = []
 
@@ -725,23 +725,22 @@ def _request(
             cache.put(record)
         return record
 
-    def take() -> tuple[int, tuple[str, str, list[ChatMessage]]] | None:
+    def take() -> tuple[str, str, list[ChatMessage]] | None:
         nonlocal next_at
         delay = 0.0
         with lock:
-            item = None if failures else next(todo, None)
-            if item and interval:  # the prompt comes with its send time
+            prompt = None if failures else next(todo, None)
+            if prompt and interval:  # the prompt comes with its send time
                 now = time.monotonic()
                 delay, next_at = next_at - now, max(now, next_at) + interval
         if delay > 0:
             time.sleep(delay)
-        return None if failures else item  # a failure while it slept drops it
+        return None if failures else prompt  # a failure while it slept drops it
 
     def work() -> None:
         try:
-            while item := take():
-                index, prompt = item
-                records[index] = fetch(*prompt)
+            while prompt := take():
+                records[prompt[0]] = fetch(*prompt)
         except BaseException as exc:
             with lock:
                 failures.append(exc)

@@ -723,6 +723,69 @@ def test_a_model_that_argv_could_not_decode_is_a_usage_error(command, corpus_fil
     assert result.stderr == b"usage error: --model holds a byte that is not text: 'm\\udcff'\n"
 
 
+def neogate_with_a_byte_of_argv(argv: list[str], flag: str, path: Path):
+    """``python -m neogate argv --flag=path`` with byte 0xff after ``path``,
+    in UTF-8 mode, which decodes that byte to the lone surrogate U+DCFF."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "neogate", *argv, os.fsencode(f"--{flag}={path}") + b"\xff"],
+        env={**NO_PROXY_ENV, "PYTHONPATH": str(src), "PYTHONUTF8": "1"},
+        capture_output=True,
+        timeout=60,
+    )
+
+
+def test_a_run_whose_cache_path_is_not_text_stops_before_any_request(
+    corpus_file, tmp_path, echo_server
+):
+    out = tmp_path / "out"
+    argv = ["run", f"--corpus={corpus_file}", "--model=m", f"--endpoint={echo_server.url}",
+            f"--out={out}"]
+    result = neogate_with_a_byte_of_argv(argv, "cache", tmp_path / "c")
+    assert (result.returncode, result.stdout) == (2, b"")
+    cache = repr(f"{tmp_path / 'c'}\udcff")
+    assert result.stderr == f"usage error: --cache holds a byte that is not text: {cache}\n".encode()
+    assert echo_server.calls == 0
+    assert not out.exists()
+
+
+def test_an_evaluate_whose_out_path_is_not_text_writes_nothing(corpus_file, tmp_path):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text(f"{EXAMPLE_SOURCE}\n", encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    argv = ["evaluate", f"--corpus={corpus_file}", f"--hyp={hyp}"]
+    result = neogate_with_a_byte_of_argv(argv, "out", tmp_path / "o")
+    assert (result.returncode, result.stdout) == (2, b"")
+    out = repr(f"{tmp_path / 'o'}\udcff")
+    assert result.stderr == f"usage error: --out holds a byte that is not text: {out}\n".encode()
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--corpus=c\udcff.tsv"],
+        ["--config=k\udcff.kv", "stats", "--corpus=c.tsv"],
+        ["run", "--corpus=c.tsv", "--model=m", "--cache=c\udcff.jsonl"],
+        ["extract", "--dev-corpus=d\udcff.tsv"],
+        ["prompt", "--out-file=\udcff"],
+        ["kappa", "--labels-a=a.txt", "--labels-b=\udcffb.txt"],
+    ],
+    ids=["validate-corpus", "config", "run-cache", "extract-dev-corpus", "prompt-out-file",
+         "kappa-labels-b"],
+)
+def test_any_flag_value_that_argv_could_not_decode_is_a_usage_error(
+    argv, tmp_path, monkeypatch, capsys
+):
+    [(flag, value)] = [arg.split("=") for arg in argv if "\udcff" in arg]
+    monkeypatch.chdir(tmp_path)  # where no file that argv names exists
+    assert dispatch(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"usage error: {flag} holds a byte that is not text: {value!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_repeated_entry_id_keeps_each_entry_on_its_line(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "ChatClient", FakeClient)
     corpus = tmp_path / "corpus.tsv"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -443,6 +444,49 @@ def test_only_a_fully_warm_lookup_saves_the_sidecar(
     assert echo_server.calls == 3
 
 
+def sidecar_length(path: Path) -> int:
+    header = path.with_name(path.name + ".idx").read_bytes().partition(b"\n")[0]
+    return json.loads(header)["length"]
+
+
+def test_a_lookup_only_reads(small_corpus, zero_spec, tmp_path):
+    path = tmp_path / "c.jsonl"
+    config = ClientConfig(endpoint="http://127.0.0.1:9/v1", model="m")
+    run_corpus(small_corpus, zero_spec, config, path, client=EchoClient())
+    data = path.read_bytes()
+    _, records, missing = runner.lookup_prompts(
+        small_corpus, zero_spec, (), "m", 0.0, JsonlCache(path)
+    )
+    assert (len(records), missing) == (3, [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+    assert path.read_bytes() == data
+
+
+def test_a_with_block_that_puts_nothing_saves_the_sidecar(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    write_lines(path, make_record(key="k1"), make_record(key="k2"))
+    with JsonlCache(path) as cache:
+        assert len(cache) == 2
+    assert sidecar_length(path) == path.stat().st_size
+
+
+def test_a_run_whose_every_request_failed_saves_the_sidecar_of_its_load(
+    small_corpus, zero_spec, tmp_path
+):
+    path = tmp_path / "c.jsonl"
+    config = ClientConfig(endpoint="http://127.0.0.1:9/v1", model="m")
+    run_corpus(small_corpus[:2], zero_spec, config, path, client=EchoClient())
+    loaded = path.read_bytes()
+
+    def unreachable(source):
+        raise NetworkError("retries exhausted")
+
+    records = run_corpus(small_corpus, zero_spec, config, path, client=EchoClient(fail=unreachable))
+    assert [r.outcome for r in records] == ["ok", "ok", "failed"]
+    assert path.read_bytes() == loaded
+    assert sidecar_length(path) == len(loaded)
+
+
 def test_warm_load_decodes_only_the_lines_it_reads(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     records = [make_record(key=f"k{i}", raw=f"<{i}>") for i in range(5)]
@@ -658,7 +702,7 @@ def test_sidecar_loads_agree_with_full_checks(steps):
                 # a load with no sidecar checks the whole file
                 plain.write_bytes(path.read_bytes())
                 assert cache_view(path) == cache_view(plain)
-                assert path.read_bytes() == plain.read_bytes()  # the same torn tail cut
+                assert path.read_bytes() == plain.read_bytes()  # no load writes to the cache
                 plain.with_name("cache.jsonl.idx").unlink(missing_ok=True)
 
 
@@ -727,28 +771,48 @@ def test_a_load_finishes_while_another_handle_holds_the_lock_shared(tmp_path):
     assert lengths == [1]
 
 
+class Raised(Exception):
+    """Raised inside a ``with`` block to end it with an exception."""
+
+
 class CacheContract(RuleBasedStateMachine):
     """The cache as a model: the last ``raw`` put under each key.
 
     Two long-lived handles put, save the sidecar, look up and reopen, as
     runs of a grid that share one cache do; a dead writer leaves part of a
-    record without its newline. A handle sees what its load found and its
-    own puts. A fresh load sees the model, changes no byte of the file, and
-    a second fresh load through the sidecar that it saves agrees with it.
+    record without its newline, and a dead saver part of a sidecar header
+    in the temp file. A handle sees what its load found and its own puts. A
+    fresh load sees the model, changes no byte of the file, and a second
+    fresh load through the sidecar that it saves agrees with it. Once a
+    foreign writer has appended a line that is no record, every fresh load
+    raises at that line's offset. A ``with`` block saves the sidecar only
+    when it put nothing and raised nothing.
     """
 
     def __init__(self):
         super().__init__()
         self.tmp = tempfile.TemporaryDirectory()
         self.path = Path(self.tmp.name, "cache.jsonl")
+        self.sidecar = self.path.with_name("cache.jsonl.idx")
+        self.temp = self.path.with_name("cache.jsonl.idx.tmp")  # a saver's, until renamed
         self.model: dict[str, str] = {}
         self.handles = [JsonlCache(self.path), JsonlCache(self.path)]
         self.views: list[dict[str, str]] = [{}, {}]  # what each handle sees
+        self.bad: int | None = None  # the offset of the first line that is no record
+        self.inode_when_torn: int | None = None  # the sidecar's, when a saver died
 
     def teardown(self):
         for handle in self.handles:
             handle.close()
         self.tmp.cleanup()
+
+    def fresh(self) -> JsonlCache | None:
+        """A new handle, or None when the file has a line that is no record."""
+        if self.bad is None:
+            return JsonlCache(self.path)
+        with pytest.raises(NeoGateError, match=f": bad record at byte offset {self.bad}: "):
+            JsonlCache(self.path)
+        return None
 
     @rule(h=st.integers(0, 1), key=st.sampled_from(CACHE_KEYS), raw=st.text(max_size=8))
     def put(self, h, key, raw):
@@ -768,35 +832,86 @@ class CacheContract(RuleBasedStateMachine):
     @rule(h=st.integers(0, 1))
     def reopen(self, h):
         self.handles[h].close()
-        self.handles[h] = JsonlCache(self.path)
-        self.views[h] = dict(self.model)
+        handle = self.fresh()
+        if handle is not None:  # else the closed handle puts on
+            self.handles[h] = handle
+            self.views[h] = dict(self.model)
 
     @rule(n=st.integers(1, 60))
     def dead_writer(self, n):
         with open(self.path, "ab") as fh:
             fh.write(make_record(key="k0", raw="<dead>").to_json().encode()[:n])
 
+    @rule()
+    def bad_line(self):
+        data = self.file() or b""
+        if self.bad is None:  # a dead writer's fragment starts the bad line
+            self.bad = data.rfind(b"\n") + 1
+        with open(self.path, "ab") as fh:
+            fh.write(b"[]\n")
+
+    @rule(n=st.integers(0, 40))
+    def torn_temp(self, n):
+        header = b'{"version": 4, "length": %d, "sha256": "' % len(self.file() or b"")
+        self.temp.write_bytes(header[:n])
+        self.inode_when_torn = self.sidecar_inode()
+
     def file(self) -> bytes | None:
         return self.path.read_bytes() if self.path.exists() else None
+
+    def sidecar_bytes(self) -> bytes | None:
+        return self.sidecar.read_bytes() if self.sidecar.exists() else None
+
+    def sidecar_inode(self) -> int | None:
+        return self.sidecar.stat().st_ino if self.sidecar.exists() else None
+
+    def covers_every_whole_line(self, data: bytes | None) -> None:
+        if data and b"\n" in data:
+            saved = json.loads(self.sidecar.read_bytes().partition(b"\n")[0])
+            assert saved["length"] == data.rfind(b"\n") + 1
 
     @rule()
     def fresh_load(self):
         data = self.file()
-        cache = JsonlCache(self.path)
+        cache = self.fresh()
         assert self.file() == data
+        if cache is None:
+            return
         found = cache.get_many(CACHE_KEYS)
         assert {key: r.raw for key, r in found.items()} == self.model
         cache.save_index()
-        if self.model:  # the sidecar covers every whole line
-            sidecar = self.path.with_name("cache.jsonl.idx").read_bytes()
-            assert json.loads(sidecar.partition(b"\n")[0])["length"] == data.rfind(b"\n") + 1
+        self.covers_every_whole_line(data)
         assert JsonlCache(self.path).get_many(CACHE_KEYS) == found
         assert self.file() == data
+
+    @rule(put=st.booleans(), fail=st.booleans(), key=st.sampled_from(CACHE_KEYS))
+    def with_block(self, put, fail, key):
+        data, sidecar = self.file(), self.sidecar_bytes()
+        if self.bad is not None:
+            self.fresh()
+        else:
+            with contextlib.suppress(Raised), JsonlCache(self.path) as cache:
+                found = cache.get_many(CACHE_KEYS)
+                assert {k: r.raw for k, r in found.items()} == self.model
+                if put:
+                    cache.put(make_record(key=key, raw="<with>"))
+                    self.model[key] = "<with>"
+                if fail:
+                    raise Raised
+            if not (put or fail):
+                self.covers_every_whole_line(data)
+                return
+        assert self.sidecar_bytes() == sidecar
 
     @invariant()
     def handles_count_what_they_see(self):
         for handle, view in zip(self.handles, self.views):
             assert len(handle) == len(view)
+
+    @invariant()
+    def a_torn_temp_lasts_until_the_next_save(self):
+        if self.temp.exists():
+            assert self.sidecar_inode() == self.inode_when_torn
 
 
 CacheContract.TestCase.settings = settings(max_examples=100, stateful_step_count=25, deadline=None)
@@ -889,7 +1004,7 @@ def test_a_kill_while_the_sidecar_is_replaced_leaves_a_loadable_cache(tmp_path):
             loaded = JsonlCache(path).get_many(keys)
             assert not [name for name in opened if name.endswith(".tmp")]
             assert loaded == JsonlCache(plain).get_many(keys)  # no sidecar: every line checked
-            assert path.read_bytes() == plain.read_bytes()  # the same torn tail cut
+            assert path.read_bytes() == plain.read_bytes()  # no load writes to the cache
     finally:
         recording[0] = False
 
