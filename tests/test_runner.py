@@ -1428,11 +1428,12 @@ def test_requested_at_is_stamped_after_the_rate_limit_wait(
 
 class EchoClient:
     """Stands in for ``ChatClient``: replies with the bracketed source of
-    the last message, as the echo server does, after ``delay()`` seconds,
-    and logs each request's source. ``fail(source)`` may raise instead."""
+    the last message after ``prefix``, as the echo server does with none,
+    after ``delay()`` seconds, and logs each request's source.
+    ``fail(source)`` may raise instead."""
 
-    def __init__(self, delay=lambda: 0.0, fail=lambda source: None):
-        self.delay, self.fail = delay, fail
+    def __init__(self, delay=lambda: 0.0, fail=lambda source: None, prefix=""):
+        self.delay, self.fail, self.prefix = delay, fail, prefix
         self.lock = threading.Lock()
         self.sources: list[str] = []
 
@@ -1443,7 +1444,7 @@ class EchoClient:
             delay = self.delay()
         time.sleep(delay)
         self.fail(source)
-        return f"<{source}>"
+        return f"<{self.prefix}{source}>"
 
 
 def test_auth_failure_stops_every_thread(wide_corpus, zero_spec, tmp_path):
@@ -1574,6 +1575,113 @@ def test_an_interrupt_of_the_calling_thread_stops_the_helpers(wide_corpus, zero_
     assert threading.active_count() == threads
     assert len(client.sources) < len(wide_corpus)
     assert len(JsonlCache(tmp_path / "c.jsonl")) == len(client.sources) - 1
+
+
+@pytest.fixture(scope="session")
+def grid(tagset, asterisk, schwa):
+    """The paper's grid in small: (model, spec, exemplars) cells over one
+    corpus of 12 sources, 4 of them again under new ids, and each cell's
+    ``hypotheses.txt`` from an uninterrupted run on a cache of its own."""
+    corpus = parse_corpus(corpus_text(12), tagset)
+    corpus += [corpus[i]._replace(entry_id=f"d{i}") for i in (0, 3, 3, 7)]
+    dev = parse_corpus(corpus_text(2), tagset)
+
+    def exemplars(paradigm, ids):
+        adapted = {a.entry_id: a.ref_adapted for a in adapt_corpus(dev, paradigm)}
+        return exemplars_from_corpus(dev, adapted, ids)
+
+    cells = [
+        (model, PromptSpec(PromptFormat.ZERO_SHOT, 0, paradigm), ())
+        for model in ("m1", "m2")
+        for paradigm in (asterisk, schwa)
+    ] + [
+        ("m1", PromptSpec(PromptFormat.DIRECT, 1, asterisk, ("e1",)), exemplars(asterisk, ("e1",))),
+        ("m2", PromptSpec(PromptFormat.TERNARY, 1, schwa, ("e2",)), exemplars(schwa, ("e2",))),
+    ]
+    order = [e.entry_id for e in corpus]
+    expected = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (model, spec, shots) in enumerate(cells):
+            config = ClientConfig(endpoint="http://127.0.0.1:9/v1", model=model)
+            client = EchoClient(prefix=f"{model} ")
+            records = run_corpus(corpus, spec, config, Path(tmp, f"{i}.jsonl"), shots, client=client)
+            expected.append(export_hypotheses(records, order))
+    return corpus, cells, expected
+
+
+GRID_RUNS = st.lists(
+    st.tuples(
+        st.integers(0, 5),  # the cell
+        st.integers(1, 3),  # concurrency
+        # an interrupt raised by the client's call after this many calls
+        st.none() | st.tuples(st.sampled_from([Raised, KeyboardInterrupt]), st.integers(0, 8)),
+        st.sets(st.integers(1, 12), max_size=3),  # the sources whose requests fail
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(GRID_RUNS)
+def test_the_grid_on_one_cache_resumes_replays_and_extracts(grid, runs):
+    """Interrupted and failing runs of every cell on one cache, then each
+    cell once clean and once warm: no prompt of a cell is answered twice,
+    each cell's hypotheses are an uninterrupted run's, the warm pass sends
+    nothing and writes nothing, and ``extract``'s path reads the same."""
+    corpus, cells, expected = grid
+    order = [e.entry_id for e in corpus]
+    answered = {}  # (cell, source) -> successful replies
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "cache.jsonl")
+
+        def run(cell, concurrency=1, interrupt=None, failing=()):
+            model, spec, shots = cells[cell]
+            calls, failed = [], []
+            lock = threading.Lock()
+
+            def fail(source):
+                with lock:
+                    calls.append(source)
+                    n = len(calls) - 1
+                if interrupt and n == interrupt[1]:
+                    failed.append(source)
+                    raise interrupt[0]()
+                if source in failing:
+                    failed.append(source)
+                    raise NetworkError("retries exhausted")
+
+            # the delay lets threads overlap, as replies from an endpoint do
+            client = EchoClient(
+                delay=lambda: 0.002 if concurrency > 1 else 0.0, fail=fail, prefix=f"{model} "
+            )
+            config = ClientConfig(
+                endpoint="http://127.0.0.1:9/v1", model=model, concurrency=concurrency
+            )
+            try:
+                records = run_corpus(corpus, spec, config, path, shots, client=client)
+            finally:
+                for source in client.sources:
+                    answered[cell, source] = answered.get((cell, source), 0) + 1
+                for source in failed:
+                    answered[cell, source] -= 1
+            return export_hypotheses(records, order), client.sources
+
+        for cell, concurrency, interrupt, failing in runs:
+            with contextlib.suppress(Raised, KeyboardInterrupt):
+                run(cell, concurrency, interrupt, {f"Source sentence {i}." for i in failing})
+        for cell in range(len(cells)):
+            assert run(cell)[0] == expected[cell]
+        assert [key for key, n in answered.items() if n > 1] == [], "answered twice"
+        data = path.read_bytes()
+        for cell in range(len(cells)):
+            assert run(cell) == (expected[cell], [])
+        assert path.read_bytes() == data
+        for cell, (model, spec, shots) in enumerate(cells):
+            hashes, records, missing = runner.lookup_prompts(
+                corpus, spec, shots, model, 0.0, JsonlCache(path)
+            )
+            assert missing == []
+            assert runner.hypothesis_file(records[k].translation for k in hashes) == expected[cell]
 
 
 @pytest.fixture
