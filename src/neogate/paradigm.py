@@ -223,11 +223,6 @@ def adapt_reference(ref_tagged: str, mapping: TagsetMapping) -> str:
     return adapted
 
 
-def adapt_triplets(triplets, mapping: TagsetMapping) -> tuple[Triplet, ...]:
-    """Copy each triplet with its tagged form realized in the paradigm."""
-    return tuple(t._replace(tagged_form=replace_tags(t.tagged_form, mapping)) for t in triplets)
-
-
 def adapt_corpus(corpus: Sequence[Entry], mapping: TagsetMapping) -> list[Entry]:
     """Adapt every entry of a parsed corpus to ``mapping``: a copy with its
     triplets realized and ``ref_adapted`` set. Each distinct triplet is

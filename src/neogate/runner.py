@@ -1,18 +1,14 @@
-"""Execute prompts against a chat-completion HTTP endpoint with an
-append-only JSONL response cache, bounded retries, and corpus-ordered
-hypothesis export.
+"""Run prompts through an append-only JSONL response cache, and export
+corpus-ordered hypotheses.
 
 The wire format is a chat-completions-style JSON body (``messages``,
 ``model``, ``temperature``); the reply must carry the completion text
 at ``choices[0].message.content``. Cache entries are keyed by the SHA-256
 of that body, so re-running an unchanged configuration never touches the
-network. A run looks every prompt up first; the client and the stdlib
-network modules are loaded only when some prompt is missing from the
-cache, ``urllib.request`` only when a proxy may apply, and ``logging``
-only when something is logged.
-
-The client speaks keep-alive HTTP/1.1 on one socket per thread: each
-request goes out in one ``sendall``, and ``wire`` reads each reply.
+network. A run looks every prompt up first; the client, ``wire.ChatClient``,
+and the stdlib network modules are loaded only when some prompt is missing
+from the cache, ``urllib.request`` only when a proxy may apply, and
+``logging`` only when something is logged.
 """
 
 from __future__ import annotations
@@ -22,16 +18,13 @@ import hashlib
 import json
 import math
 import os
-import re
-import sys
 import threading
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
-from urllib.parse import unquote, urlsplit, urlunsplit
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from urllib.parse import urlsplit
 
 from .corpus import Entry
 from .errors import NeoGateError, NetworkError
@@ -42,6 +35,9 @@ from .promptkit import (
     final_message,
     prompt_head,
 )
+
+if TYPE_CHECKING:
+    from .wire import ChatClient
 
 try:
     from fcntl import LOCK_EX, LOCK_SH, LOCK_UN, flock
@@ -342,16 +338,11 @@ class JsonlCache:
             "the index was removed, run again"
         )
 
-    def get(self, key: str) -> RunRecord | None:
-        with self._lock:
-            start = self._index.get(key)
-            return None if start is None else self._record(key, start)
-
     def get_many(self, keys: Iterable[str]) -> dict[str, RunRecord]:
         """The record of each of ``keys`` that the cache holds, in the order
-        of ``keys``, as ``get`` gives it, but all decoded by one
-        ``json.loads``. When some line is not its hash's record, each line
-        is decoded alone, so the first such line raises as in ``get``."""
+        of ``keys``, all decoded by one ``json.loads``. When some line is not
+        its hash's record, each line is decoded alone, and the first such
+        line raises ``NeoGateError`` and removes the sidecar."""
         with self._lock:
             data, index = self._data, self._index
             starts = {key: index[key] for key in keys if key in index}
@@ -454,154 +445,13 @@ def _split_url(url: str, schemes: tuple[str, ...], what: str):
     return parts, port
 
 
-class ChatClient:
-    """Minimal chat-completions client with bounded retries.
+def __getattr__(name: str):
+    # ``runner.ChatClient``, for callers of the client's old home (PEP 562)
+    if name == "ChatClient":
+        from .wire import ChatClient
 
-    The proxy that ``HTTP(S)_PROXY``/``NO_PROXY`` name, the request head
-    with the ``NEOGATE_API_KEY`` credential, and the TLS context are settled
-    once, here, from one ``Host`` value without the URL's userinfo. The
-    encoded head of the last prompt is kept, so prompts that share their
-    messages but the last encode them once. Each
-    calling thread keeps one keep-alive connection to the endpoint or proxy,
-    idle between requests in one table by thread id, writes each request to
-    it in one ``sendall`` and reads the reply with ``wire.read_reply``; no
-    redirects.
-    """
-
-    def __init__(self, config: ClientConfig):
-        # loaded by the first client, not with the module: a run whose
-        # prompts are all cached never needs it
-        from . import wire
-
-        self.config = config
-        url, port = _split_url(config.endpoint, ("http", "https"), "endpoint")
-        https = url.scheme == "https"
-        address = (url.hostname, port)
-        target = urlunsplit(("", "", url.path or "/", url.query, ""))
-        host = wire.authority(url.hostname, port, 443 if https else 80)
-        headers = ["Accept-Encoding: identity", "Content-Type: application/json"]
-        tunnel = b""  # the CONNECT request that opens each connection
-        proxy = None
-        # outside macOS and Windows, urllib.request reads proxies from the
-        # environment alone, and finds none without a *_proxy variable
-        if sys.platform == "darwin" or os.name == "nt" or any(
-            name.lower().endswith("_proxy") for name in os.environ
-        ):
-            from urllib.request import getproxies, proxy_bypass
-
-            proxy = None if proxy_bypass(host) else getproxies().get(url.scheme)
-        if proxy:
-            if "://" not in proxy:
-                proxy = "http://" + proxy
-            parsed, proxy_port = _split_url(proxy, ("http",), "proxy")
-            auth = []
-            if parsed.username:
-                import base64
-
-                userinfo = f"{unquote(parsed.username)}:{unquote(parsed.password or '')}"
-                credential = base64.b64encode(userinfo.encode()).decode()
-                auth.append(f"Proxy-Authorization: Basic {credential}")
-            if https:
-                connect = f"CONNECT {wire.authority(url.hostname, port)} HTTP/1.0"
-                tunnel = "\r\n".join([connect, *auth, "", ""]).encode("latin-1")
-            else:
-                target = f"http://{host}{target}"  # a forward proxy takes the absolute URI
-                headers += auth
-            address = (parsed.hostname, proxy_port)
-        # what would not go on the wire as it is fails here, before any request
-        for what, text in (("request target", target), ("host", host)):
-            if not text.isascii():
-                raise NeoGateError(f"endpoint {what} is not ASCII: {text!r}")
-            if " " in text or not text.isprintable():
-                raise NeoGateError(
-                    f"endpoint {what} holds a space or a control character: {text!r}"
-                )
-        if api_key := os.environ.get(API_KEY_ENV):
-            if "\r" in api_key or "\n" in api_key or max(api_key) > "\xff":
-                raise NeoGateError(f"{API_KEY_ENV} holds a line break or a non-Latin-1 character")
-            headers.append(f"Authorization: Bearer {api_key}")
-        # each request appends its length, a blank line and its body
-        self._head = "\r\n".join(
-            [f"POST {target} HTTP/1.1", f"Host: {host}", *headers, "Content-Length: "]
-        ).encode("latin-1")
-        tls = None
-        if https:
-            import ssl
-
-            tls = ssl.create_default_context()
-        self._connect = partial(wire.connect, address, config.timeout, tunnel, tls, url.hostname)
-        self._read_reply = wire.read_reply
-        self._idle: dict = {}  # thread id -> its open connection, while no request uses it
-        self._closing = _closing(config.model, config.temperature)
-        # (the messages but the last of the last prompt, their _opening),
-        # replaced whole, so no thread pairs one head with another's bytes
-        self._last_head: tuple = (None, b"")
-
-    def _post(self, body: bytes) -> tuple[int, bytes]:
-        """POST ``body`` on this thread's connection, in one ``sendall``, and
-        read the reply. When a reused connection is closed or reset before
-        the reply's first byte, the request is sent once more on a new one.
-        After any other failure, or a reply that ends the connection, the
-        next request opens a new one."""
-        request = b"".join((self._head, b"%d\r\n\r\n" % len(body), body))
-        thread = threading.get_ident()
-        sock = self._idle.pop(thread, None)
-        reused = sock is not None
-        while True:
-            sock = sock or self._connect()
-            first = b""
-            try:
-                sock.sendall(request)
-                if not (first := sock.recv(65536)):
-                    raise ConnectionResetError("the connection closed before the reply")
-                status, data, keep = self._read_reply(sock, first)
-            except BaseException as exc:
-                sock.close()
-                if not (reused and not first and isinstance(exc, ConnectionError)):
-                    raise
-                sock, reused = None, False
-                continue
-            if keep:
-                self._idle[thread] = sock
-            else:
-                sock.close()
-            return status, data
-
-    def close(self) -> None:
-        """Close every idle connection; call when no request is in flight."""
-        while self._idle:
-            self._idle.popitem()[1].close()
-
-    def complete(self, messages: Sequence[ChatMessage]) -> str:
-        """The reply's content. A failed attempt (network error, malformed
-        reply, status other than 200, no string content) is logged and
-        retried ``max_retries`` times, then ``NetworkError`` is raised; a
-        401/403 raises at once."""
-        head = messages[:-1]
-        last, opening = self._last_head
-        if head != last:
-            opening = _opening(head)
-            self._last_head = (head, opening)
-        body = opening + _rest(messages[-1:], self._closing)  # request_body(messages, ...)
-        last_error: Exception | None = None
-        for attempt in range(self.config.max_retries + 1):
-            if attempt:
-                time.sleep(min(2.0, 0.1 * 2 ** attempt))
-            try:
-                status, data = self._post(body)
-                if status in (401, 403):
-                    raise NeoGateError(f"endpoint rejected credentials ({status})")
-                if status != 200:
-                    raise NetworkError(f"HTTP {status}")
-                content = json.loads(data)["choices"][0]["message"]["content"]
-                if not isinstance(content, str):  # null for a refusal or a tool call
-                    raise TypeError(f"content is {type(content).__name__}, not a string")
-                # a lone surrogate, as of an emoji cut in two, has no UTF-8
-                return re.sub("[\ud800-\udfff]", "\ufffd", content)
-            except (OSError, NetworkError, ValueError, LookupError, TypeError) as exc:
-                last_error = exc
-                _logger().warning("attempt %d failed: %r", attempt + 1, exc)
-        raise NetworkError(f"retries exhausted: {last_error}")
+        return ChatClient
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def run_corpus(
@@ -695,7 +545,10 @@ def _request(
     is raised.
     """
     owned = client is None
-    client = client or ChatClient(config)
+    if owned:
+        from .wire import ChatClient  # here, so a run without a miss never compiles it
+
+        client = ChatClient(config)
     interval = 1 / config.rate_limit if config.rate_limit else 0.0
     next_at = 0.0  # the send time of the next prompt, when paced
     records: dict[str, RunRecord] = {}

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from neogate import load_builtin_mapping, load_builtin_tagset, load_corpus
+from neogate.paradigm import replace_tags
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -134,6 +135,12 @@ def exact_cwa(counts) -> Fraction:
     cov = Fraction(100 * counts.matched, counts.annotations)
     acc = Fraction(100 * counts.correct, counts.matched) if counts.matched else 0
     return cov * acc / 100
+
+
+def realized(triplets, mapping) -> tuple:
+    """Each triplet with its tagged form realized in ``mapping``, as
+    ``adapt_corpus`` realizes an entry's triplets."""
+    return tuple(t._replace(tagged_form=replace_tags(t.tagged_form, mapping)) for t in triplets)
 
 
 def split_path(name: str) -> Path:

@@ -30,11 +30,10 @@ from neogate import (
 from neogate.cli import render_trace
 from neogate.evaluator import EvalCounts, round_half_up
 from neogate.corpus import serialize_annotation
-from neogate.paradigm import adapt_triplets
 from neogate.promptkit import PromptFormat, PromptSpec
 from neogate.runner import ClientConfig, export_hypotheses, run_corpus
 
-from .conftest import EXAMPLE_CORPUS_TEXT, exact_cwa, split_path
+from .conftest import EXAMPLE_CORPUS_TEXT, exact_cwa, realized, split_path
 
 
 @contextmanager
@@ -147,7 +146,7 @@ def test_criterion_06_matcher_oracles(tagset, asterisk, schwa):
     from neogate import match_entry, parse_annotation, tokenize
 
     with criterion(6, "hand-traced matcher fixtures score exactly"):
-        anchored = adapt_triplets(
+        anchored = realized(
             parse_annotation(
                 "lo la <DARTS> student=1; studente studentessa student<ENDS>; "
                 "preoccupato preoccupata preoccupat<ENDS>;",
@@ -161,7 +160,7 @@ def test_criterion_06_matcher_oracles(tagset, asterisk, schwa):
         ev = match_entry(tokens, anchored, asterisk.markers, "t8")
         assert (ev.annotations, ev.matched, ev.correct, ev.found) == (3, 3, 3, 3)
 
-        shaman = adapt_triplets(
+        shaman = realized(
             parse_annotation("lo la <DARTS>; sciamano sciamana sciaman<ENDS>;", tagset),
             schwa,
         )

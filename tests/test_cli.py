@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neogate import __version__, build_prompt, extract_translation, prompt_hash, runner
+from neogate import __version__, build_prompt, extract_translation, prompt_hash, wire
 from neogate.cli import (
     REPORT_KV,
     REPORT_TXT,
@@ -481,7 +481,7 @@ UNUSED_ENDPOINT = "--endpoint=http://127.0.0.1:9/v1"
 
 @pytest.mark.parametrize("fmt, shots", [("zero_shot", 0), ("direct", 1), ("binary", 4), ("ternary", 8)])
 def test_extract_after_a_full_split_run_gives_its_hypotheses(fmt, shots, tmp_path, monkeypatch):
-    monkeypatch.setattr(runner, "ChatClient", FakeClient)
+    monkeypatch.setattr(wire, "ChatClient", FakeClient)
     out = tmp_path / "out"
     spec = [f"--corpus={split_path('test')}", "--paradigm=schwa", f"--format={fmt}",
             f"--shots={shots}", f"--dev-corpus={split_path('dev')}", "--model=m",
@@ -494,7 +494,7 @@ def test_extract_after_a_full_split_run_gives_its_hypotheses(fmt, shots, tmp_pat
 
 
 def test_extract_uses_the_records_of_its_model(corpus_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(runner, "ChatClient", FakeClient)
+    monkeypatch.setattr(wire, "ChatClient", FakeClient)
     cache = tmp_path / "cache.jsonl"
     for model in ("a", "b"):
         run = ["run", f"--corpus={corpus_file}", f"--model={model}", f"--cache={cache}"]
@@ -544,7 +544,7 @@ def warm_run_and_extract(tmp_path, flags, cache: Path) -> tuple[str, str, str]:
 def test_a_warm_run_takes_its_lines_from_raw_as_extract_does(tmp_path, monkeypatch):
     """A cache outlives the extractor that wrote it: each line comes from
     the record's ``raw``, not from its stored ``translation``."""
-    monkeypatch.setattr(runner, "ChatClient", ReplyClient)
+    monkeypatch.setattr(wire, "ChatClient", ReplyClient)
     cache = tmp_path / "cache.jsonl"
     flags = [f"--corpus={head_of_test_split(tmp_path, 5)}", "--model=m", f"--cache={cache}"]
     assert dispatch(["run", *flags, UNUSED_ENDPOINT, f"--out={tmp_path / 'cold'}"]) == 0
@@ -563,7 +563,7 @@ def test_a_stored_outcome_gives_way_to_the_extraction_of_raw(
 ):
     """A record's stored ``outcome`` is not read back: ``raw`` decides it,
     and a cached record is never ``failed``."""
-    monkeypatch.setattr(runner, "ChatClient", ReplyClient)
+    monkeypatch.setattr(wire, "ChatClient", ReplyClient)
     cache = tmp_path / "cache.jsonl"
     flags = [f"--corpus={head_of_test_split(tmp_path, 5)}", "--model=m", f"--cache={cache}"]
     assert dispatch(["run", *flags, UNUSED_ENDPOINT, f"--out={tmp_path / 'cold'}"]) == 0
@@ -787,7 +787,7 @@ def test_any_flag_value_that_argv_could_not_decode_is_a_usage_error(
 
 
 def test_repeated_entry_id_keeps_each_entry_on_its_line(tmp_path, monkeypatch):
-    monkeypatch.setattr(runner, "ChatClient", FakeClient)
+    monkeypatch.setattr(wire, "ChatClient", FakeClient)
     corpus = tmp_path / "corpus.tsv"
     second = EXAMPLE_CORPUS_TEXT.splitlines()[1].replace(EXAMPLE_SOURCE, "They said it again")
     corpus.write_text(EXAMPLE_CORPUS_TEXT + second + "\n", encoding="utf-8")
@@ -802,7 +802,7 @@ def test_repeated_entry_id_keeps_each_entry_on_its_line(tmp_path, monkeypatch):
 
 
 def test_header_only_corpus_gives_an_empty_hypothesis_file(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(runner, "ChatClient", FakeClient)
+    monkeypatch.setattr(wire, "ChatClient", FakeClient)
     corpus = tmp_path / "empty.tsv"
     corpus.write_text(HEADER_LINE + "\n", encoding="utf-8")
     out = tmp_path / "out"
@@ -932,7 +932,7 @@ def test_full_split_golden_digests(paradigm, tmp_path, capsys, monkeypatch):
     # the same paradigm through --mapping, so the manifest names its file
     mapping = tmp_path / "paradigm.map"
     mapping.write_bytes((DATA_DIR.parent / "src/neogate/data" / f"{paradigm}.map").read_bytes())
-    monkeypatch.setattr(runner, "ChatClient", FakeClient)
+    monkeypatch.setattr(wire, "ChatClient", FakeClient)
     assert dispatch(
         ["run", f"--corpus={corpus}", f"--mapping={mapping}", *ternary, "--model=m",
          UNUSED_ENDPOINT, f"--out={tmp_path / 'run'}"]
@@ -1140,7 +1140,7 @@ class LineBreakClient(FakeClient):
 
 
 def test_replies_with_any_line_break_stay_on_their_line(tmp_path, monkeypatch):
-    monkeypatch.setattr(runner, "ChatClient", LineBreakClient)
+    monkeypatch.setattr(wire, "ChatClient", LineBreakClient)
     corpus = tmp_path / "corpus.tsv"
     second = EXAMPLE_CORPUS_TEXT.splitlines()[1].replace("0001", "0002", 1)
     second = second.replace(EXAMPLE_SOURCE, "They said it again")

@@ -29,9 +29,8 @@ from neogate.evaluator import (
     tokenizer,
 )
 from neogate.errors import NeoGateError
-from neogate.paradigm import adapt_triplets
 
-from .conftest import exact_cwa
+from .conftest import exact_cwa, realized
 
 
 @pytest.fixture
@@ -40,7 +39,7 @@ def table_triplets(tagset, asterisk):
         "lo la <DARTS> student=1; studente studentessa student<ENDS>; "
         "preoccupato preoccupata preoccupat<ENDS>;"
     )
-    return adapt_triplets(parse_annotation(ann, tagset), asterisk)
+    return realized(parse_annotation(ann, tagset), asterisk)
 
 
 def test_tokenize_keeps_markers():
@@ -88,7 +87,7 @@ def test_match_entry_anchor_trace(table_triplets, asterisk):
 
 
 def test_match_entry_shaman_trace(tagset, schwa):
-    triplets = adapt_triplets(
+    triplets = realized(
         parse_annotation("lo la <DARTS>; sciamano sciamana sciaman<ENDS>;", tagset), schwa
     )
     tokens = tokenize("Sperə che lə sciamanə possa aiutarci.", schwa.markers)
@@ -99,7 +98,7 @@ def test_match_entry_shaman_trace(tagset, schwa):
 def test_match_entry_overgeneration_trace(tagset, schwa):
     # a single annotated word, three neomorpheme tokens in the output:
     # per-entry mis-generation exceeds 100%
-    triplets = adapt_triplets(parse_annotation("tutti tutte tutt<ENDP>;", tagset), schwa)
+    triplets = realized(parse_annotation("tutti tutte tutt<ENDP>;", tagset), schwa)
     tokens = tokenize("Hanno chiesto a tɜ di rimanerə in silenziə.", schwa.markers)
     ev = match_entry(tokens, triplets, schwa.markers)
     assert (ev.annotations, ev.matched, ev.correct, ev.found) == (1, 0, 0, 3)
@@ -122,7 +121,7 @@ def test_match_entry_feminine_forms(table_triplets, asterisk):
 
 
 def test_match_entry_unsatisfied_anchor_keeps_scanning(tagset, asterisk):
-    triplets = adapt_triplets(
+    triplets = realized(
         parse_annotation("il la <DARTS> maestr=1; maestro maestra maestr<ENDS>;", tagset),
         asterisk,
     )
@@ -134,7 +133,7 @@ def test_match_entry_unsatisfied_anchor_keeps_scanning(tagset, asterisk):
 
 
 def test_match_entry_anchor_out_of_range(tagset, asterisk):
-    triplets = adapt_triplets(
+    triplets = realized(
         parse_annotation("il la <DARTS> maestr=1;", tagset), asterisk
     )
     ev = match_entry(tokenize("Arriva il.", asterisk.markers), triplets, asterisk.markers)
@@ -144,7 +143,7 @@ def test_match_entry_anchor_out_of_range(tagset, asterisk):
 
 def test_match_entry_consumes_tokens_once(tagset, asterisk):
     ann = "il la <DARTS> maestr=1; il la <DARTS> sart=1; maestro maestra maestr<ENDS>; sarto sarta sart<ENDS>;"
-    triplets = adapt_triplets(parse_annotation(ann, tagset), asterisk)
+    triplets = realized(parse_annotation(ann, tagset), asterisk)
     tokens = tokenize("il maestro saluta il sarto", asterisk.markers)
     ev = match_entry(tokens, triplets, asterisk.markers)
     assert ev.matched == 4
@@ -158,7 +157,7 @@ def test_match_entry_consumes_tokens_once(tagset, asterisk):
 
 
 def test_match_entry_case_insensitive(tagset, asterisk):
-    triplets = adapt_triplets(
+    triplets = realized(
         parse_annotation("il la <DARTS> maestr=1; maestro maestra maestr<ENDS>;", tagset),
         asterisk,
     )
@@ -361,7 +360,7 @@ def test_matcher_count_invariants(words):
     ts = load_builtin_tagset()
     ast = load_builtin_mapping("asterisk", ts)
     ann = "il la <DARTS> maestr=1; maestro maestra maestr<ENDS>; sarto sarta sart<ENDS>;"
-    triplets = adapt_triplets(parse_annotation(ann, ts), ast)
+    triplets = realized(parse_annotation(ann, ts), ast)
     tokens = tokenize(" ".join(words), ast.markers)
     ev = match_entry(tokens, triplets, ast.markers)
     assert ev.correct <= ev.matched <= ev.annotations

@@ -13,9 +13,9 @@ import neogate.promptkit
 from neogate import adapt_corpus, adapt_reference, parse_corpus, parse_mapping
 from neogate.corpus import Entry, serialize_annotation
 from neogate.errors import NeoGateError
-from neogate.paradigm import CONTENT, TAG_RE, TagsetDefinition, TagSpec, adapt_triplets
+from neogate.paradigm import CONTENT, TAG_RE, TagsetDefinition, TagSpec
 
-from .conftest import EXAMPLE_CORPUS_TEXT, EXAMPLE_REF_TAGGED
+from .conftest import EXAMPLE_CORPUS_TEXT, EXAMPLE_REF_TAGGED, realized
 
 ADAPTED_REF_ASTERISK = (
     "L* direttor* del dipartimento ha detto che potrebbero assumere nuov* professor*"
@@ -185,7 +185,7 @@ def test_adapt_corpus_returns_each_entry_realized(test_split, schwa):
         assert type(adapted) is Entry
         assert entry.ref_adapted == ""
         assert adapted == entry._replace(
-            triplets=adapt_triplets(entry.triplets, schwa),
+            triplets=realized(entry.triplets, schwa),
             ref_adapted=adapt_reference(entry.ref_tagged, schwa),
         )
 
@@ -244,6 +244,6 @@ def test_marker_bijection_of_adapted_corpora(tagset, asterisk, example_corpus):
 def test_adapted_anchors_survive(tagset, asterisk):
     text = EXAMPLE_CORPUS_TEXT.replace("il la <DARTS>;", "il la <DARTS> dirett=1;")
     (entry,) = parse_corpus(text, tagset)
-    adapted = adapt_triplets(entry.triplets, asterisk)
+    adapted = adapt_corpus([entry], asterisk)[0].triplets
     assert adapted[0].anchor is not None
     assert serialize_annotation(adapted).startswith("il la l* dirett=1;")

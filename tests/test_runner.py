@@ -12,7 +12,6 @@ import math
 import os
 import random
 import re
-import shutil
 import socket
 import subprocess
 import sys
@@ -37,7 +36,7 @@ from neogate import (
     prompt_hash,
     rank_exemplar_candidates,
 )
-from neogate import runner
+from neogate import runner, wire
 from neogate.promptkit import (
     ChatMessage,
     PromptFormat,
@@ -47,7 +46,6 @@ from neogate.promptkit import (
     prompt_head,
 )
 from neogate.runner import (
-    ChatClient,
     ClientConfig,
     JsonlCache,
     NetworkError,
@@ -57,6 +55,7 @@ from neogate.runner import (
     request_body,
     run_corpus,
 )
+from neogate.wire import ChatClient
 
 from .conftest import HEADER_LINE
 
@@ -194,9 +193,9 @@ def test_cache_round_trip(tmp_path):
     record = make_record()
     with JsonlCache(path) as cache:
         cache.put(record)
-        assert cache.get("k1") == record
+        assert cache.get_many(["k1"]) == {"k1": record}
         # a fresh instance reads the same record back from disk
-        assert JsonlCache(path).get("k1") == record
+        assert JsonlCache(path).get_many(["k1"]) == {"k1": record}
 
 
 def test_a_put_record_is_on_disk_when_put_returns(tmp_path):
@@ -205,7 +204,7 @@ def test_a_put_record_is_on_disk_when_put_returns(tmp_path):
         for key in ("k1", "k2"):
             cache.put(make_record(key=key))
             # read by a second open while the first still holds its handle
-            assert JsonlCache(path).get(key) == make_record(key=key)
+            assert JsonlCache(path).get_many([key]) == {key: make_record(key=key)}
             assert path.read_bytes().endswith((make_record(key=key).to_json() + "\n").encode())
 
 
@@ -235,7 +234,6 @@ def test_a_cache_that_never_puts_opens_nothing(tmp_path, monkeypatch):
     path = tmp_path / "missing" / "cache.jsonl"
     monkeypatch.setattr(runner, "open", None, raising=False)  # any open would fail
     with JsonlCache(path) as cache:
-        assert cache.get("k1") is None
         assert cache.get_many(["k1"]) == {}
     assert not path.parent.exists()
 
@@ -271,7 +269,7 @@ def test_cache_last_record_of_a_hash_wins(tmp_path):
     path.write_text(old.to_json() + "\n" + new.to_json() + "\n", encoding="utf-8")
     cache = JsonlCache(path)
     assert len(cache) == 1
-    assert cache.get("k1") == new
+    assert cache.get_many(["k1"]) == {"k1": new}
     assert cache.records() == [new]
 
 
@@ -319,13 +317,13 @@ def test_last_record_wins_across_the_checked_prefix(tmp_path):
     old, new = make_record("e1", "k1", "<old>"), make_record("e2", "k1", "<new>")
     write_lines(path, old, make_record(key="k2"))
     cache = JsonlCache(path)
-    assert cache.get("k1") == old
+    assert cache.get_many(["k1"]) == {"k1": old}
     cache.save_index()
     write_lines(path, new)
     for _ in range(2):  # the tail checked against the sidecar, then the sidecar alone
         cache = JsonlCache(path)
         assert len(cache) == 2
-        assert cache.get("k1") == new
+        assert cache.get_many(["k1"]) == {"k1": new}
         assert cache.records() == [new, make_record(key="k2")]
         cache.save_index()
 
@@ -362,7 +360,7 @@ def test_sidecar_whose_index_was_changed_is_not_used(tmp_path):
     index["k1"] = old_at
     sidecar.write_bytes(header + b"\n" + json.dumps(index).encode())
     cache = JsonlCache(path)
-    assert cache.get("k1") == new
+    assert cache.get_many(["k1"]) == {"k1": new}
     assert len(cache) == 2
 
 
@@ -394,7 +392,7 @@ def test_sidecar_pointing_a_hash_at_another_record_is_caught(tmp_path):
 
     rewrite_sidecar(sidecar, swap)
     with pytest.raises(NeoGateError, match="no record of k1 where the index points"):
-        JsonlCache(path).get("k1")
+        JsonlCache(path).get_many(["k1"])
     assert not sidecar.exists()
     assert JsonlCache(path).records() == [first, second]
     sidecar = save_sidecar(path)
@@ -421,7 +419,7 @@ def test_unwritable_sidecar_still_loads(tmp_path):
     path.with_name("cache.jsonl.idx").mkdir()  # can be neither read nor replaced
     for _ in range(2):
         cache = JsonlCache(path)
-        assert cache.get("k1") == make_record(key="k1")
+        assert cache.get_many(["k1"]) == {"k1": make_record(key="k1")}
         cache.save_index()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.jsonl", "cache.jsonl.idx"]
 
@@ -492,21 +490,19 @@ def test_warm_load_decodes_only_the_lines_it_reads(tmp_path, monkeypatch):
     records = [make_record(key=f"k{i}", raw=f"<{i}>") for i in range(5)]
     write_lines(path, *records)
     save_sidecar(path)
-    lines = set(path.read_text(encoding="utf-8").splitlines())
-    decoded = []
+    decoded = []  # the hash of each record line that json.loads is given
     loads = json.loads
 
     def counting_loads(text, *args, **kwargs):
-        if text in lines:
-            decoded.append(text)
+        if isinstance(text, str):  # the sidecar is read as bytes
+            decoded.extend(re.findall(r'"prompt_hash": "(k\d)"', text))
         return loads(text, *args, **kwargs)
 
     monkeypatch.setattr(json, "loads", counting_loads)
     cache = JsonlCache(path)
     assert decoded == []
-    assert cache.get("k3") == records[3]
-    assert cache.get("k1") == records[1]
-    assert len(decoded) == 2
+    assert cache.get_many(["k3", "k1"]) == {"k3": records[3], "k1": records[1]}
+    assert decoded == ["k3", "k1"]
 
 
 CACHE_KEYS = ["k0", "k1", "k2"]
@@ -549,14 +545,48 @@ def test_records_read_back_take_what_the_benchmark_does(tmp_path):
         cache.put(stamped)
     reloaded = JsonlCache(probe)
     assert reloaded.records() == [stamped]
-    assert reloaded.get("k1") == stamped
+    assert reloaded.get_many(["k1"]) == {"k1": stamped}
 
 
 LOOKUP_KEYS = st.lists(st.sampled_from(CACHE_KEYS + ["k9"]), max_size=6)
 
 
-def looked_up_one_by_one(cache, keys) -> dict:
-    return {key: record for key in keys if (record := cache.get(key)) is not None}
+def decoded_line_by_line(path: Path, keys) -> dict:
+    """The record of each of ``keys`` in the cache at ``path``, each line
+    decoded alone with ``json.loads``; the last record of a hash wins."""
+    last = {}
+    for line in (path.read_bytes() if path.exists() else b"").split(b"\n"):
+        if text := line.decode("utf-8", errors="replace").strip():
+            fields = json.loads(text)
+            last[fields["prompt_hash"]] = RunRecord(**fields)
+    return {key: last[key] for key in keys if key in last}
+
+
+def decoded_where_indexed(path: Path, keys):
+    """What a lookup of ``keys`` in the cache at ``path`` gives as its
+    sidecar's index points: each key's record, decoded alone with
+    ``json.loads`` from the line that starts where its offset points, or the
+    error of the first key whose offset starts no record of it; and whether
+    the sidecar is left."""
+    data = path.read_bytes()
+    sidecar = path.with_name(path.name + ".idx")
+    index = json.loads(sidecar.read_bytes().partition(b"\n")[2])
+    found = {}
+    for key in dict.fromkeys(keys):
+        if key not in index:
+            continue
+        start, fields = index[key], None
+        if type(start) is int and 0 <= start < len(data):
+            line = data[start : data.find(b"\n", start) + 1].decode("utf-8", errors="replace")
+            with contextlib.suppress(ValueError):
+                fields = json.loads(line.strip())
+        if not (isinstance(fields, dict) and fields.get("prompt_hash") == key):
+            return (
+                f"/{sidecar.name}: no record of {key} where the index points;"
+                " the index was removed, run again"
+            ), False
+        found[key] = RunRecord(**fields)
+    return found, True
 
 
 @given(
@@ -570,7 +600,7 @@ def looked_up_one_by_one(cache, keys) -> dict:
     ),
     LOOKUP_KEYS,
 )
-def test_get_many_agrees_with_get(steps, keys):
+def test_get_many_agrees_with_a_line_by_line_decode(steps, keys):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "cache.jsonl")
         cache = JsonlCache(path)
@@ -583,7 +613,7 @@ def test_get_many_agrees_with_get(steps, keys):
                 cache.close()
                 cache = JsonlCache(path)
             found = cache.get_many(keys)
-            assert found == looked_up_one_by_one(cache, keys)
+            assert found == decoded_line_by_line(path, keys)
             assert list(found) == [key for key in dict.fromkeys(keys) if key in found]
         cache.close()
 
@@ -595,19 +625,19 @@ LINE_PADS = st.sampled_from([b"", b" ", b"\r", b"\x0c", "\u00a0".encode(), "\u20
 REPLY_JUNK = st.sampled_from([b"", b"\xff", b"\xed\xa0\x80"])
 
 
-def lookup_outcome(path: Path, keys, lookup):
-    """The records ``lookup(cache, keys)`` finds, or its error with the
-    cache's directory left out, and whether the sidecar is left."""
+def lookup_outcome(path: Path, keys):
+    """The records ``get_many`` finds, or its error with the cache's
+    directory left out, and whether the sidecar is left."""
     sidecar = path.with_name("cache.jsonl.idx")
     try:
-        found = lookup(JsonlCache(path), keys)
+        found = JsonlCache(path).get_many(keys)
     except NeoGateError as exc:
         return str(exc).replace(str(path.parent), ""), sidecar.exists()
     return found, sidecar.exists()
 
 
 @given(st.data())
-def test_get_many_on_a_corrupt_index_raises_as_get(data):
+def test_get_many_on_a_corrupt_index_agrees_with_a_line_by_line_decode(data):
     lines = data.draw(
         st.lists(
             st.tuples(st.sampled_from(CACHE_KEYS), st.text(max_size=8), LINE_PADS, REPLY_JUNK),
@@ -617,9 +647,8 @@ def test_get_many_on_a_corrupt_index_raises_as_get(data):
     )
     keys = data.draw(LOOKUP_KEYS)
     with tempfile.TemporaryDirectory() as tmp:
-        one, many = Path(tmp, "one", "cache.jsonl"), Path(tmp, "many", "cache.jsonl")
-        one.parent.mkdir()
-        one.write_bytes(
+        path = Path(tmp, "cache.jsonl")
+        path.write_bytes(
             b"".join(
                 pad
                 + make_record(raw=raw, key=key).to_json().encode().replace(b'"raw": "', b'"raw": "' + junk)
@@ -628,8 +657,8 @@ def test_get_many_on_a_corrupt_index_raises_as_get(data):
                 for key, raw, pad, junk in lines
             )
         )
-        sidecar = save_sidecar(one)
-        starts = [0, *(i + 1 for i, byte in enumerate(one.read_bytes()) if byte == 0x0A)]
+        sidecar = save_sidecar(path)
+        starts = [0, *(i + 1 for i, byte in enumerate(path.read_bytes()) if byte == 0x0A)]
         edits = data.draw(
             st.lists(
                 st.tuples(
@@ -642,11 +671,10 @@ def test_get_many_on_a_corrupt_index_raises_as_get(data):
             )
         )
         rewrite_sidecar(sidecar, lambda index: index.update(edits))
-        shutil.copytree(one.parent, many.parent)
-        outcome = lookup_outcome(one, keys, looked_up_one_by_one)
-        assert lookup_outcome(many, keys, JsonlCache.get_many) == outcome
-        if not edits:
-            assert outcome[1]  # the sidecar was sound and stays
+        expected = decoded_where_indexed(path, keys)
+        if not edits:  # a sound sidecar points at each hash's last record, and stays
+            assert expected == (decoded_line_by_line(path, keys), True)
+        assert lookup_outcome(path, keys) == expected
 
 
 CACHE_STEPS = st.one_of(
@@ -668,7 +696,7 @@ def cache_view(path):
         view = str(exc).split(": ")[1]
         assert view.startswith("bad record at byte offset ")
         return view
-    view = len(cache), [cache.get(key) for key in CACHE_KEYS], cache.records()
+    view = len(cache), cache.get_many(CACHE_KEYS), cache.records()
     cache.save_index()
     return view
 
@@ -1245,11 +1273,17 @@ def test_empty_corpus_builds_no_client(zero_spec, tmp_path, monkeypatch):
     def no_client(config):
         raise AssertionError("a client was built")
 
-    monkeypatch.setattr(runner, "ChatClient", no_client)
+    monkeypatch.setattr(wire, "ChatClient", no_client)
     config = ClientConfig(endpoint="http://127.0.0.1:9/v1", model="m")
     assert run_corpus([], zero_spec, config, tmp_path / "c.jsonl") == []
     with pytest.raises(NeoGateError, match="endpoint is not an http"):
         run_corpus([], zero_spec, ClientConfig(endpoint="localhost:9", model="m"), tmp_path / "c.jsonl")
+
+
+def test_the_client_is_still_found_at_its_old_home():
+    assert runner.ChatClient is wire.ChatClient
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        runner.no_such_name
 
 
 def test_export_conventions():
